@@ -1,12 +1,16 @@
-"""Exact sum-product and max-sum message passing on factor trees.
+"""Exact sum-product and max-sum message passing on factor trees and forests.
 
-Sum-product messages are kept in the linear domain but renormalised to a
-max entry of one after every step, with the removed scale accumulated in a
-separate log term.  That keeps long chains from underflowing while the
-worked linear numbers stay recoverable through :attr:`Message.linear`.
-
-Messages toward leaf factor nodes are never computed; they are not needed
-for marginals or factor joints.
+Both run on one iterative engine parameterised by the semiring, on plain
+arrays.  Sum-product messages stay in the linear domain, renormalised to a
+max entry of one with the removed scale kept in a log term, so long chains
+cannot underflow while :attr:`Message.linear` recovers the worked numbers.
+Max-sum messages hold log values plus argmax tables for backtracking.
+Each connected component is a tree of its own, and the log partition
+function of a forest is the sum over them.  :func:`conditioned_sum_product`
+and :func:`max_sum_map` accept forests, such as a tree split by evidence on
+an interior variable; :func:`sum_product` and :func:`factor_joint` need one
+connected tree.  Loops are always rejected.  Messages toward leaf factor
+nodes are never computed.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .factors import DiscreteFactor, condition, product
+from .factors import DiscreteFactor, condition
 from .graphs import Dag
 
 Edge = tuple[str, str]  # (from node id, to node id)
+Messages = Mapping[Edge, "Message"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,7 @@ class FactorGraph:
             raise ValidationError("duplicate variable names")
         cards = dict(vars_tuple)
         fdict: dict[str, DiscreteFactor] = {}
+        adjacent: dict[str, list[str]] = {n: [] for n in names}
         for fname, f in factors.items():
             fname = str(fname)
             if fname in cards or fname in fdict:
@@ -51,22 +57,27 @@ class FactorGraph:
                     raise ValidationError(f"factor {fname!r} mentions undeclared variable {vname!r}")
                 if cards[vname] != card:
                     raise ValidationError(f"cardinality mismatch for {vname!r} in factor {fname!r}")
+                adjacent[vname].append(fname)
             fdict[fname] = f
+            adjacent[fname] = list(f.var_names)
         object.__setattr__(self, "variables", vars_tuple)
         object.__setattr__(self, "factors", fdict)
+        object.__setattr__(self, "_cards", cards)
+        # Node id -> neighbouring node ids, in declaration order.
+        object.__setattr__(self, "_adjacent", {n: tuple(nbrs) for n, nbrs in adjacent.items()})
 
     @property
     def var_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.variables)
 
     def card(self, var: str) -> int:
-        for n, c in self.variables:
-            if n == var:
-                return c
-        raise ValidationError(f"unknown variable {var!r}")
+        try:
+            return self._cards[var]
+        except KeyError:
+            raise ValidationError(f"unknown variable {var!r}") from None
 
     def factor_neighbors(self, var: str) -> tuple[str, ...]:
-        return tuple(f for f, fac in self.factors.items() if var in fac.var_names)
+        return self._adjacent[var] if var in self._cards else ()
 
     def variable_neighbors(self, fname: str) -> tuple[str, ...]:
         if fname not in self.factors:
@@ -110,36 +121,34 @@ class Schedule:
         return [e for g in self.groups for e in g]
 
 
+def _forest(fg: FactorGraph, first: str | None = None) -> list[list[tuple[str, str | None]]]:
+    """Each connected component as breadth-first (node, parent) pairs, started at ``first``,
+    then at each unreached variable in declaration order, then at each unreached factor."""
+    seen: set[str] = set()
+    components = []
+    for start in ([first] if first is not None else []) + [*fg.var_names, *fg.factors]:
+        if start in seen:
+            continue
+        seen.add(start)
+        order: list[tuple[str, str | None]] = [(start, None)]
+        for node, _ in order:  # the list grows while it is read
+            for nbr in fg._adjacent[node]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    order.append((nbr, node))
+        components.append(order)
+    # A forest has exactly one edge fewer than nodes in each component.
+    if sum(len(f.scope) for f in fg.factors.values()) != len(seen) - len(components):
+        raise ValidationError("factor graph has a loop")
+    return components
+
+
 def validate_tree(fg: FactorGraph) -> bool:
     """True iff the bipartite graph is connected and acyclic."""
-    n_nodes = len(fg.variables) + len(fg.factors)
-    if n_nodes == 0:
+    try:
+        return len(_forest(fg)) == 1
+    except ValidationError:
         return False
-    n_edges = sum(len(f.scope) for f in fg.factors.values())
-    # Connectivity sweep over the bipartite adjacency.
-    var_set = set(fg.var_names)
-    start = fg.var_names[0] if fg.variables else next(iter(fg.factors))
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        nbrs = fg.factor_neighbors(node) if node in var_set else fg.variable_neighbors(node)
-        for m in nbrs:
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return len(seen) == n_nodes and n_edges == n_nodes - 1
-
-
-def _require_tree(fg: FactorGraph) -> None:
-    if not validate_tree(fg):
-        raise ValidationError("factor graph is not a connected tree")
-
-
-def _neighbors(fg: FactorGraph, node: str) -> tuple[str, ...]:
-    if node in fg.factors:
-        return fg.variable_neighbors(node)
-    return fg.factor_neighbors(node)
 
 
 def schedule(fg: FactorGraph) -> Schedule:
@@ -147,79 +156,115 @@ def schedule(fg: FactorGraph) -> Schedule:
 
     A message u->v becomes computable once every message w->u with w != v
     is available; leaf-bound messages into degree-one factor nodes are
-    omitted.
+    omitted.  The components of a forest share clock cycles.
     """
-    _require_tree(fg)
+    order = [pair for component in _forest(fg) for pair in component]
     depth: dict[Edge, int] = {}
-
-    def msg_depth(u: str, v: str) -> int:
-        key = (u, v)
-        if key not in depth:
-            deps = [msg_depth(w, u) for w in _neighbors(fg, u) if w != v]
-            depth[key] = 1 + max(deps, default=0)
-        return depth[key]
-
-    leaf_factors = {f for f in fg.factors if len(fg.factors[f].scope) == 1}
-    edges: list[Edge] = []
-    for fname, fac in fg.factors.items():
-        for vname in fac.var_names:
-            edges.append((fname, vname))
-            if fname not in leaf_factors:
-                edges.append((vname, fname))
+    for node, parent in reversed(order):
+        if parent is not None:
+            depth[(node, parent)] = 1 + max(
+                (depth[(w, node)] for w in fg._adjacent[node] if w != parent), default=0)
+    for node, parent in order:
+        inbound = sorted((depth[(w, node)] for w in fg._adjacent[node]), reverse=True)
+        first, second = (inbound + [0, 0])[:2]
+        for c in fg._adjacent[node]:
+            if c != parent:
+                depth[(node, c)] = 1 + (second if depth[(c, node)] == first else first)
+    edges = [e for e in depth if not (e[1] in fg.factors and len(fg.factors[e[1]].scope) == 1)]
+    groups: list[list[Edge]] = [[] for _ in range(max((depth[e] for e in edges), default=0))]
     for e in edges:
-        msg_depth(*e)
-    n_groups = max(depth[e] for e in edges)
-    groups = [tuple(sorted(e for e in edges if depth[e] == k + 1)) for k in range(n_groups)]
-    return Schedule(tuple(groups))
+        groups[depth[e] - 1].append(e)
+    return Schedule(tuple(tuple(sorted(g)) for g in groups))
 
 
-def _factor_to_var(fg: FactorGraph, fname: str, var: str,
-                   incoming: Mapping[Edge, Message]) -> Message:
-    fac = fg.factors[fname]
-    others = [v for v in fac.var_names if v != var]
-    parts = [fac]
+class _SumProduct:
+    """Linear domain: products summed out, messages rescaled to a max of one."""
+
+    combine = np.multiply
+    table = staticmethod(DiscreteFactor.ndarray)
+
+    @staticmethod
+    def marginalise(edge, nd, axis):
+        return nd.sum(axis=tuple(k for k in range(nd.ndim) if k != axis))
+
+    @staticmethod
+    def message(u, v, payload, scale):
+        peak = float(payload.max())
+        if peak <= 0.0:
+            raise NumericError(f"message {u}->{v} is identically zero")
+        return Message(u, v, payload / peak, "linear", scale + math.log(peak))
+
+
+class _MaxSum:
+    """Log domain: sums maximised out.  ``argmax[(f, v)]`` gives, per state of v, the
+    flat C-order index of the best joint state of f's other variables (ties to the lowest)."""
+
+    combine = np.add
+
+    def __init__(self):
+        self.argmax: dict[Edge, np.ndarray] = {}
+
+    @staticmethod
+    def table(fac):
+        with np.errstate(divide="ignore"):
+            return np.log(fac.ndarray())
+
+    def marginalise(self, edge, nd, axis):
+        moved = np.moveaxis(nd, axis, 0).reshape(nd.shape[axis], -1)
+        self.argmax[edge] = moved.argmax(axis=1)
+        return moved.max(axis=1)
+
+    @staticmethod
+    def message(u, v, payload, scale):
+        return Message(u, v, payload, "log")
+
+
+def _combined(fg: FactorGraph, node: str, skip: str | None, incoming: Messages,
+              semiring=_SumProduct) -> tuple[np.ndarray, float]:
+    """A node's own table (the identity at a variable) combined with every message into it
+    but the one from ``skip``, each along its variable's axis; plus their summed log scales."""
+    sources = fg._adjacent[node]
+    if node in fg.factors:
+        nd, axes = semiring.table(fg.factors[node]), range(len(sources))
+    else:
+        nd, axes = np.full(fg.card(node), float(semiring.combine.identity)), [0] * len(sources)
     scale = 0.0
-    for w in others:
-        msg = incoming[(w, fname)]
-        parts.append(DiscreteFactor([(w, fg.card(w))], msg.payload))
-        scale += msg.log_scale
-    joint = product(parts)
-    # Sum out every axis except the target variable's.
-    target_axis = joint.var_names.index(var)
-    out = np.moveaxis(joint.ndarray(), target_axis, 0).reshape(fg.card(var), -1).sum(axis=1)
-    return _rescaled(fname, var, out, scale)
+    for axis, source in zip(axes, sources):
+        if source != skip:
+            msg = incoming[(source, node)]
+            shape = [1] * nd.ndim
+            shape[axis] = -1
+            nd = semiring.combine(nd, msg.payload.reshape(shape))
+            scale += msg.log_scale
+    return nd, scale
 
 
-def _var_to_factor(fg: FactorGraph, var: str, fname: str,
-                   incoming: Mapping[Edge, Message]) -> Message:
-    payload = np.ones(fg.card(var))
-    scale = 0.0
-    for g in fg.factor_neighbors(var):
-        if g == fname:
-            continue
-        msg = incoming[(g, var)]
-        payload = payload * msg.payload
-        scale += msg.log_scale
-    return _rescaled(var, fname, payload, scale)
+def _factor_to_var(fg: FactorGraph, fname: str, var: str, incoming: Messages,
+                   semiring=_SumProduct) -> Message:
+    nd, scale = _combined(fg, fname, var, incoming, semiring)
+    axis = fg.factors[fname].var_names.index(var)
+    return semiring.message(fname, var, semiring.marginalise((fname, var), nd, axis), scale)
 
 
-def _rescaled(u: str, v: str, payload: np.ndarray, scale: float) -> Message:
-    peak = float(payload.max())
-    if peak <= 0.0:
-        raise NumericError(f"message {u}->{v} is identically zero")
-    return Message(u, v, payload / peak, "linear", scale + math.log(peak))
+def _var_to_factor(fg: FactorGraph, var: str, fname: str, incoming: Messages,
+                   semiring=_SumProduct) -> Message:
+    return semiring.message(var, fname, *_combined(fg, var, fname, incoming, semiring))
 
 
-def _pass_messages(fg: FactorGraph) -> dict[Edge, Message]:
-    """Compute every scheduled message, in clock-cycle order."""
+def _pass(fg: FactorGraph, edges: Sequence[Edge], semiring) -> dict[Edge, Message]:
+    """Compute each edge's message in turn; its inputs must come earlier."""
     messages: dict[Edge, Message] = {}
-    for group in schedule(fg).groups:
-        for u, v in group:
-            if u in fg.factors:
-                messages[(u, v)] = _factor_to_var(fg, u, v, messages)
-            else:
-                messages[(u, v)] = _var_to_factor(fg, u, v, messages)
+    for u, v in edges:
+        step = _factor_to_var if u in fg.factors else _var_to_factor
+        messages[(u, v)] = step(fg, u, v, messages, semiring)
     return messages
+
+
+def _normaliser(payload: np.ndarray, where: str) -> float:
+    total = float(payload.sum())
+    if total <= 0.0:
+        raise NumericError(f"zero normaliser {where}")
+    return total
 
 
 @dataclass(frozen=True)
@@ -239,22 +284,23 @@ def sum_product(fg: FactorGraph) -> SumProductResult:
     factor messages; the normaliser (times the accumulated scales) is the
     partition function and agrees across variables.
     """
-    _require_tree(fg)
-    messages = _pass_messages(fg)
+    components = _forest(fg)
+    if len(components) != 1:
+        raise ValidationError("factor graph is not a connected tree")
+    return _sum_product(fg, components)
+
+
+def _sum_product(fg: FactorGraph, components: list) -> SumProductResult:
+    messages = _pass(fg, schedule(fg).all_edges(), _SumProduct)
     marginals: dict[str, np.ndarray] = {}
-    log_partition = None
-    for var, card in fg.variables:
-        payload = np.ones(card)
-        scale = 0.0
-        for fname in fg.factor_neighbors(var):
-            msg = messages[(fname, var)]
-            payload = payload * msg.payload
-            scale += msg.log_scale
-        total = float(payload.sum())
-        if total <= 0.0:
-            raise NumericError(f"zero normaliser at variable {var!r}")
-        marginals[var] = payload / total
-        log_partition = math.log(total) + scale
+    for var in fg.var_names:
+        payload, _ = _combined(fg, var, None, messages)
+        marginals[var] = payload / _normaliser(payload, f"at variable {var!r}")
+    log_partition = 0.0
+    for component in components:
+        top = component[0][0]
+        payload, scale = _combined(fg, top, None, messages)
+        log_partition += math.log(_normaliser(payload, f"at {top!r}")) + scale
     return SumProductResult(marginals, log_partition, messages)
 
 
@@ -292,7 +338,7 @@ def conditioned_sum_product(fg: FactorGraph, evidence: Mapping[str, int]) -> dic
     would only be an optimisation, never a semantic change.
     """
     reduced, _ = condition_factor_graph(fg, evidence)
-    return sum_product(reduced).marginals
+    return _sum_product(reduced, _forest(reduced)).marginals
 
 
 def factor_joint(fg: FactorGraph, fname: str) -> DiscreteFactor:
@@ -300,19 +346,13 @@ def factor_joint(fg: FactorGraph, fname: str) -> DiscreteFactor:
     incoming variable messages."""
     if fname not in fg.factors:
         raise ValidationError(f"unknown factor {fname!r}")
-    _require_tree(fg)
-    messages = _pass_messages(fg)
+    messages = dict(sum_product(fg).messages)
     fac = fg.factors[fname]
-    parts = [fac]
     for var in fac.var_names:
-        key = (var, fname)
-        msg = messages[key] if key in messages else _var_to_factor(fg, var, fname, messages)
-        parts.append(DiscreteFactor([(var, fg.card(var))], msg.payload))
-    joint = product(parts)
-    total = float(joint.values.sum())
-    if total <= 0.0:
-        raise NumericError("zero normaliser in factor joint")
-    return DiscreteFactor(joint.scope, joint.values / total)
+        if (var, fname) not in messages:
+            messages[(var, fname)] = _var_to_factor(fg, var, fname, messages)
+    nd, _ = _combined(fg, fname, None, messages)
+    return DiscreteFactor.from_ndarray(fac.scope, nd / _normaliser(nd, "in factor joint"))
 
 
 @dataclass(frozen=True)
@@ -327,74 +367,31 @@ def max_sum_map(fg: FactorGraph, root: str) -> MaxSumResult:
     ``log_score`` is the log of the unnormalised joint at the returned
     assignment (the partition function is never involved).  Ties always
     break toward the lowest state index, so the answer is deterministic and
-    invariant to the choice of root.
+    invariant to the choice of root.  On a forest, every component other
+    than ``root``'s is rooted at its first declared variable.
     """
-    _require_tree(fg)
     if root not in dict(fg.variables):
         raise ValidationError(f"root {root!r} is not a variable")
-
-    log_msgs: dict[Edge, np.ndarray] = {}
-    backtrack: dict[Edge, list[dict[str, int]]] = {}
-
-    def var_to_factor(var: str, fname: str) -> np.ndarray:
-        key = (var, fname)
-        if key not in log_msgs:
-            total = np.zeros(fg.card(var))
-            for g in fg.factor_neighbors(var):
-                if g != fname:
-                    total = total + factor_to_var(g, var)
-            log_msgs[key] = total
-        return log_msgs[key]
-
-    def factor_to_var(fname: str, var: str) -> np.ndarray:
-        key = (fname, var)
-        if key not in log_msgs:
-            fac = fg.factors[fname]
-            with np.errstate(divide="ignore"):
-                nd = np.log(fac.ndarray())
-            others = [v for v in fac.var_names if v != var]
-            for w in others:
-                incoming = var_to_factor(w, fname)
-                shape = [1] * len(fac.scope)
-                shape[fac.var_names.index(w)] = fg.card(w)
-                nd = nd + incoming.reshape(shape)
-            axis = fac.var_names.index(var)
-            moved = np.moveaxis(nd, axis, 0).reshape(fg.card(var), -1)
-            log_msgs[key] = moved.max(axis=1)
-            flat_arg = moved.argmax(axis=1)
-            # Decode flat argmax back into per-variable states; the moveaxis
-            # reshape enumerates the remaining axes in C order.
-            other_cards = [fg.card(w) for w in others]
-            tables: list[dict[str, int]] = []
-            for a in flat_arg:
-                states: dict[str, int] = {}
-                rem = int(a)
-                for w, c in zip(reversed(others), reversed(other_cards)):
-                    states[w] = rem % c
-                    rem //= c
-                tables.append(states)
-            backtrack[key] = tables
-        return log_msgs[key]
-
-    root_belief = np.zeros(fg.card(root))
-    for fname in fg.factor_neighbors(root):
-        root_belief = root_belief + factor_to_var(fname, root)
-    if not np.any(np.isfinite(root_belief)):
-        raise NumericError("all configurations have zero probability")
-
-    assignment: dict[str, int] = {root: int(np.argmax(root_belief))}
-    stack: list[tuple[str, str | None]] = [(root, None)]
-    while stack:
-        var, skip_factor = stack.pop()
-        for fname in fg.factor_neighbors(var):
-            if fname == skip_factor:
-                continue
-            states = backtrack[(fname, var)][assignment[var]]
-            for w, s in states.items():
-                assignment[w] = int(s)
-                stack.append((w, fname))
-    log_score = float(root_belief[assignment[root]])
-    return MaxSumResult(assignment, log_score)
+    order = [pair for component in _forest(fg, root) for pair in component]
+    semiring = _MaxSum()
+    messages = _pass(fg, [(u, p) for u, p in reversed(order) if p is not None], semiring)
+    assignment: dict[str, int] = {}
+    log_score = 0.0
+    # Backtrack from each root down, in breadth-first order.
+    for node, parent in order:
+        if parent is None:
+            belief, _ = _combined(fg, node, None, messages, semiring)
+            if not np.any(np.isfinite(belief)):
+                raise NumericError("all configurations have zero probability")
+            best = int(np.argmax(belief))
+            log_score += float(belief.flat[best])
+            assignment[node] = best  # an empty-scope factor's entry is dropped below
+        elif node in fg.factors:
+            others = [w for w in fg.factors[node].var_names if w != parent]
+            flat = semiring.argmax[(node, parent)][assignment[parent]]
+            states = np.unravel_index(flat, [fg.card(w) for w in others])
+            assignment.update((w, int(s)) for w, s in zip(others, states))
+    return MaxSumResult({v: assignment[v] for v in fg.var_names}, log_score)
 
 
 def dag_to_factor_graph(dag: Dag, cpts: Mapping[str, DiscreteFactor]) -> FactorGraph:

@@ -49,9 +49,18 @@ class ModelDocument:
 
 
 def _expect(mapping: dict, key: str, where: str):
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{where}: expected a JSON object")
     if key not in mapping:
         raise ValidationError(f"{where}: missing field {key!r}")
     return mapping[key]
+
+
+def _entries(doc: dict, key: str) -> list:
+    section = doc.get(key, [])
+    if not isinstance(section, list):
+        raise ValidationError(f"{key!r} must be a list")
+    return section
 
 
 def parse_model_dict(doc: dict) -> ModelDocument:
@@ -59,7 +68,7 @@ def parse_model_dict(doc: dict) -> ModelDocument:
         raise ValidationError("model document must be a JSON object")
     out = ModelDocument()
 
-    for entry in doc.get("variables", []):
+    for entry in _entries(doc, "variables"):
         name = str(_expect(entry, "name", "variables"))
         card = int(_expect(entry, "card", f"variable {name!r}"))
         out.variables.append((name, card))
@@ -67,7 +76,7 @@ def parse_model_dict(doc: dict) -> ModelDocument:
     if len(declared) != len(out.variables):
         raise ValidationError("duplicate variable names")
 
-    for entry in doc.get("factors", []):
+    for entry in _entries(doc, "factors"):
         name = str(_expect(entry, "name", "factors"))
         scope_names = [str(v) for v in _expect(entry, "scope", f"factor {name!r}")]
         for v in scope_names:
@@ -89,8 +98,8 @@ def parse_model_dict(doc: dict) -> ModelDocument:
         out.dag = Dag(_expect(section, "nodes", "dag"), section.get("parents", {}))
     if "ugm" in doc:
         section = doc["ugm"]
-        edges = [tuple(e) for e in section.get("edges", [])]
-        out.ugm = Ugm(_expect(section, "nodes", "ugm"), edges)
+        nodes = _expect(section, "nodes", "ugm")
+        out.ugm = Ugm(nodes, [tuple(e) for e in section.get("edges", [])])
     if "hmm" in doc:
         out.hmm = _parse_hmm(doc["hmm"])
     if "kalman" in doc:

@@ -45,8 +45,8 @@ class DiscreteHmm:
 
     def __init__(self, prior, transitions: Sequence, emissions: Sequence):
         prior = np.asarray(prior, dtype=float)
-        if prior.ndim != 1 or np.any(prior < 0):
-            raise ValidationError("prior must be a non-negative vector")
+        if prior.ndim != 1 or np.any(prior < 0) or not np.all(np.isfinite(prior)):
+            raise ValidationError("prior must be a finite non-negative vector")
         if abs(prior.sum() - 1.0) > _ROW_TOL:
             raise ValidationError("prior must sum to 1")
         k = prior.size
@@ -234,6 +234,12 @@ def ffbs_backward_kernel(hmm: DiscreteHmm, observations: Sequence[int], t: int) 
     if not 2 <= t <= len(obs):
         raise ValidationError(f"kernel step t={t} must lie in [2, {len(obs)}]")
     filtered, _ = alpha_filter(hmm, obs)
+    return _backward_kernel(hmm, obs, filtered, t)
+
+
+def _backward_kernel(hmm: DiscreteHmm, obs: list[int], filtered: list[np.ndarray],
+                     t: int) -> np.ndarray:
+    """The kernel of :func:`ffbs_backward_kernel` from an existing forward pass."""
     prev = filtered[t - 2]
     emis = hmm.emissions[t - 1][:, obs[t - 1]]
     # Unnormalised filtered vector at t, with the same scaling as prev.
@@ -260,7 +266,7 @@ def ffbs_paths(hmm: DiscreteHmm, observations: Sequence[int], rng, n_paths: int)
     if n != hmm.n_steps:
         raise ValidationError("sampling needs the full observation sequence")
     filtered, _ = alpha_filter(hmm, obs)
-    kernels = [ffbs_backward_kernel(hmm, obs, t) for t in range(2, n + 1)]
+    kernels = [_backward_kernel(hmm, obs, filtered, t) for t in range(2, n + 1)]
     paths = np.empty((n_paths, n), dtype=int)
     paths[:, n - 1] = _categorical(rng, filtered[-1], n_paths)
     for t in range(n - 1, 0, -1):

@@ -131,8 +131,8 @@ def isotropic_kl_fit(variances) -> float:
     v = np.asarray(variances, dtype=float).reshape(-1)
     if v.size == 0:
         raise ValidationError("need at least one variance")
-    if np.any(v <= 0):
-        raise ValidationError("variances must be positive")
+    if np.any(v <= 0) or not np.all(np.isfinite(v)):
+        raise ValidationError("variances must be positive and finite")
     return float(v.size / np.sum(1.0 / v))
 
 

@@ -1,5 +1,6 @@
 """CLI command dispatch, the model file format, and the result envelope."""
 
+import itertools
 import json
 import math
 
@@ -350,3 +351,59 @@ class TestExitCodes:
         assert cli.main(["--table", "vi", "klfit", "--variances", "2.0,2.0"]) == 0
         out = capsys.readouterr().out
         assert "lambda2" in out and "command" in out
+
+
+CHAIN_MODEL = {
+    "variables": [{"name": f"y{i}", "card": 2} for i in range(1, 6)],
+    "factors": [{"name": "u1", "scope": ["y1"], "values": [1, 3]},
+                {"name": "u4", "scope": ["y4"], "values": [2, 1]}]
+               + [{"name": f"g{i}", "scope": [f"y{i}", f"y{i + 1}"], "values": [4, 1, 2, 3]}
+                  for i in range(1, 5)],
+}
+
+
+def _chain_joint():
+    """The chain's unnormalised joint by enumeration, keyed by (y1, ..., y5)."""
+    pair = {(0, 0): 4, (1, 0): 1, (0, 1): 2, (1, 1): 3}
+    joint = {}
+    for ys in itertools.product((0, 1), repeat=5):
+        p = (1, 3)[ys[0]] * (2, 1)[ys[3]]
+        for a, b in zip(ys, ys[1:]):
+            p *= pair[(a, b)]
+        joint[ys] = p
+    return joint
+
+
+class TestSplitTreesAndMalformedInputs:
+    def test_marginal_with_interior_evidence(self, write_model):
+        env = cli.run(["fg", "marginal", "--model", write_model("c.model", CHAIN_MODEL),
+                       "--var", "y5", "--evidence", "y3=1"])
+        consistent = {ys: p for ys, p in _chain_joint().items() if ys[2] == 1}
+        expected = [sum(p for ys, p in consistent.items() if ys[4] == s) for s in (0, 1)]
+        assert_allclose(env["outputs"]["y5"], [e / sum(expected) for e in expected], rtol=1e-9)
+
+    def test_map_with_interior_evidence(self, write_model):
+        path = write_model("c.model", CHAIN_MODEL)
+        consistent = {ys: p for ys, p in _chain_joint().items() if ys[2] == 1}
+        best = max(consistent, key=consistent.get)
+        for root in ([], ["--root", "y5"]):
+            env = cli.run(["fg", "map", "--model", path, "--evidence", "y3=1", *root])
+            assignment = env["outputs"]["assignment"]
+            assert assignment == {f"y{i}": best[i - 1] for i in (1, 2, 4, 5)}
+            assert math.isclose(env["outputs"]["log_score"], math.log(consistent[best]),
+                                rel_tol=1e-12)
+
+    @pytest.mark.parametrize("doc", [{"variables": [1]}, {"factors": ["x"]}])
+    def test_non_object_entries_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.model"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["fg", "marginal", "--model", str(path), "--var", "a"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_nan_variance_exits_2(self):
+        assert cli.main(["vi", "klfit", "--variances", "1,nan"]) == 2
+
+    def test_nan_hmm_prior_exits_2(self, write_model):
+        model = {"hmm": {**HMM_MODEL["hmm"], "prior": [float("nan"), 1.0]}}
+        assert cli.main(["hmm", "filter", "--model", write_model("h.model", model),
+                         "--obs", "1"]) == 2

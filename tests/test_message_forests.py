@@ -1,0 +1,234 @@
+"""The message-passing engine on forests, deep chains and loops, checked
+against brute-force enumeration and NumPy recursions."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from pgmlab.errors import ValidationError
+from pgmlab.factors import DiscreteFactor
+from pgmlab.messages import (
+    FactorGraph,
+    condition_factor_graph,
+    conditioned_sum_product,
+    factor_joint,
+    max_sum_map,
+    schedule,
+    sum_product,
+)
+
+
+@st.composite
+def forests(draw):
+    """Up to ten variables of cardinality 2-3.  Each variable after the first
+    starts a new component or joins an earlier one through a pairwise factor
+    (or, with the next variable, a three-way factor); about half the
+    variables also get a unary factor."""
+    n = draw(st.integers(1, 10))
+    cards = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    names = [f"v{i}" for i in range(n)]
+    scopes = []
+    i = 1
+    while i < n:
+        kind = draw(st.sampled_from(["root", "pair", "triple"]))
+        if kind != "root":
+            new = [i, i + 1] if kind == "triple" and i + 1 < n else [i]
+            scope = [draw(st.integers(0, i - 1))] + new
+            scopes.append(draw(st.permutations(scope)))
+            i += len(new) - 1
+        i += 1
+    scopes += [[k] for k in range(n) if draw(st.booleans())]
+    factors = {}
+    for k, scope in enumerate(scopes):
+        size = math.prod(cards[j] for j in scope)
+        values = draw(st.lists(st.floats(0.05, 4.0), min_size=size, max_size=size))
+        factors[f"f{k}"] = DiscreteFactor([(names[j], cards[j]) for j in scope], values)
+    return FactorGraph(list(zip(names, cards)), factors)
+
+
+@st.composite
+def forests_with_evidence(draw):
+    fg = draw(forests())
+    observed = draw(st.lists(st.sampled_from(fg.var_names), unique=True,
+                             max_size=len(fg.variables) - 1))
+    return fg, {v: draw(st.integers(0, fg.card(v) - 1)) for v in observed}
+
+
+def joint_table(fg: FactorGraph) -> np.ndarray:
+    """The unnormalised joint, one axis per variable in declaration order."""
+    axis = {name: k for k, name in enumerate(fg.var_names)}
+    joint = np.ones([card for _, card in fg.variables])
+    for fac in fg.factors.values():
+        order = np.argsort([axis[v] for v in fac.var_names])
+        table = np.transpose(fac.ndarray(), order)
+        shape = [1] * joint.ndim
+        for v, card in fac.scope:
+            shape[axis[v]] = card
+        joint = joint * table.reshape(shape)
+    return joint
+
+
+def evidence_slice(fg: FactorGraph, evidence: dict) -> np.ndarray:
+    """The joint with every observed axis fixed, over the unobserved variables."""
+    index = tuple(evidence.get(v, slice(None)) for v in fg.var_names)
+    return joint_table(fg)[index]
+
+
+def components(fg: FactorGraph) -> list[FactorGraph]:
+    """Each connected component as its own factor graph (union-find)."""
+    root = {v: v for v in fg.var_names}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for fac in fg.factors.values():
+        for v in fac.var_names[1:]:
+            root[find(v)] = find(fac.var_names[0])
+    groups: dict[str, list] = {}
+    for v, card in fg.variables:
+        groups.setdefault(find(v), []).append((v, card))
+    return [FactorGraph(variables, {name: fac for name, fac in fg.factors.items()
+                                    if find(fac.var_names[0]) == find(variables[0][0])})
+            for variables in groups.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests_with_evidence())
+def test_marginals_against_enumeration(case):
+    fg, evidence = case
+    marginals = conditioned_sum_product(fg, evidence)
+    table = evidence_slice(fg, evidence)
+    free = [v for v in fg.var_names if v not in evidence]
+    assert set(marginals) == set(free)
+    for k, var in enumerate(free):
+        expected = table.sum(axis=tuple(j for j in range(len(free)) if j != k))
+        assert_allclose(marginals[var], expected / expected.sum(), rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests_with_evidence())
+def test_log_partition_sums_over_components(case):
+    from pgmlab.messages import _forest, _sum_product
+
+    fg, evidence = case
+    reduced, offset = condition_factor_graph(fg, evidence)
+    expected = math.log(evidence_slice(fg, evidence).sum())
+    log_z = offset + sum(sum_product(part).log_partition for part in components(reduced))
+    assert math.isclose(log_z, expected, rel_tol=1e-9, abs_tol=1e-12)
+    # The engine's own total over the whole forest at once.
+    whole = _sum_product(reduced, _forest(reduced)).log_partition
+    assert math.isclose(offset + whole, expected, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests_with_evidence(), st.data())
+def test_map_against_enumeration(case, data):
+    fg, evidence = case
+    reduced, offset = condition_factor_graph(fg, evidence)
+    root = data.draw(st.sampled_from(reduced.var_names))
+    result = max_sum_map(reduced, root)
+    table = evidence_slice(fg, evidence)
+    assert math.isclose(result.log_score + offset, math.log(table.max()), rel_tol=1e-9,
+                        abs_tol=1e-12)
+    free = [v for v in fg.var_names if v not in evidence]
+    assert sorted(result.assignment) == sorted(free)
+    attained = table[tuple(result.assignment[v] for v in free)]
+    assert math.isclose(attained, table.max(), rel_tol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(forests(), st.data())
+def test_loops_are_rejected(fg, data):
+    first = data.draw(st.sampled_from(fg.var_names))
+    others = [v for v in fg.var_names if v != first]
+    if not others:
+        return
+    second = data.draw(st.sampled_from(others))
+    factors = dict(fg.factors)
+    scope = [(first, fg.card(first)), (second, fg.card(second))]
+    # Two parallel factors close a loop whether or not the variables were connected.
+    factors["loop1"] = DiscreteFactor.ones(scope)
+    factors["loop2"] = DiscreteFactor.ones(scope)
+    loopy = FactorGraph(list(fg.variables), factors)
+    for call in (lambda: sum_product(loopy), lambda: conditioned_sum_product(loopy, {}),
+                 lambda: max_sum_map(loopy, first), lambda: schedule(loopy),
+                 lambda: factor_joint(loopy, "loop1")):
+        with pytest.raises(ValidationError):
+            call()
+
+
+def test_forest_needs_a_connected_tree_for_sum_product_and_factor_joint():
+    fg = FactorGraph(
+        [("a", 2), ("b", 2)],
+        {"fa": DiscreteFactor([("a", 2)], [1, 3]), "fb": DiscreteFactor([("b", 2)], [2, 2])},
+    )
+    for call in (lambda: sum_product(fg), lambda: factor_joint(fg, "fa")):
+        with pytest.raises(ValidationError):
+            call()
+    assert_allclose(conditioned_sum_product(fg, {})["a"], [0.25, 0.75])
+    assert max_sum_map(fg, "b").assignment == {"a": 1, "b": 0}
+
+
+def test_map_roots_each_other_component_at_its_first_variable():
+    # Split chain a - b - c on b: the tie in c's component breaks to state 0
+    # whichever component holds the root.
+    fg = FactorGraph(
+        [("a", 2), ("b", 2), ("c", 2)],
+        {"fab": DiscreteFactor([("a", 2), ("b", 2)], [1, 2, 3, 4]),
+         "fbc": DiscreteFactor([("b", 2), ("c", 2)], [5, 6, 5, 6])},
+    )
+    reduced, offset = condition_factor_graph(fg, {"b": 1})
+    for root in ("a", "c"):
+        result = max_sum_map(reduced, root)
+        assert result.assignment == {"a": 1, "c": 0}
+        assert math.isclose(result.log_score + offset, math.log(4 * 6), rel_tol=1e-12)
+
+
+def _chain(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    unary = rng.uniform(0.1, 1.0, size=(n, 2))
+    pair = rng.uniform(0.1, 1.0, size=(n - 1, 2, 2))
+    factors = {f"u{i}": DiscreteFactor([(f"x{i}", 2)], unary[i]) for i in range(n)}
+    factors.update({f"p{i}": DiscreteFactor.from_ndarray([(f"x{i}", 2), (f"x{i + 1}", 2)], pair[i])
+                    for i in range(n - 1)})
+    return FactorGraph([(f"x{i}", 2) for i in range(n)], factors), unary, pair
+
+
+def test_deep_chain_against_numpy_recursions():
+    n = 2000
+    fg, unary, pair = _chain(n, 5)
+    assert len(schedule(fg)) == 2 * n - 1  # u0 -> x0 -> p0 -> ... -> x{n-1}
+    res = sum_product(fg)
+    # Scaled forward-backward: alpha[i] and beta[i] exclude nothing but the
+    # other side of x_i, so their product is the unnormalised marginal.
+    alpha = np.empty((n, 2))
+    beta = np.ones((n, 2))
+    log_z = 0.0
+    for i in range(n):
+        alpha[i] = unary[i] * (alpha[i - 1] @ pair[i - 1]) if i else unary[0]
+        log_z += math.log(alpha[i].sum())
+        alpha[i] /= alpha[i].sum()
+    for i in range(n - 2, -1, -1):
+        beta[i] = pair[i] @ (unary[i + 1] * beta[i + 1])
+        beta[i] /= beta[i].sum()
+    expected = alpha * beta
+    expected /= expected.sum(axis=1, keepdims=True)
+    assert_allclose([res.marginals[f"x{i}"] for i in range(n)], expected, rtol=1e-9)
+    assert math.isclose(res.log_partition, log_z, rel_tol=1e-9)
+
+    # Log-domain Viterbi for the MAP score.
+    scores = np.log(unary[0])
+    for i in range(1, n):
+        scores = (scores[:, None] + np.log(pair[i - 1])).max(axis=0) + np.log(unary[i])
+    result = max_sum_map(fg, "x0")
+    assert math.isclose(result.log_score, scores.max(), rel_tol=1e-12)
+    states = [result.assignment[f"x{i}"] for i in range(n)]
+    at_states = sum(math.log(unary[i, s]) for i, s in enumerate(states)) + sum(
+        math.log(pair[i, states[i], states[i + 1]]) for i in range(n - 1))
+    assert math.isclose(at_states, result.log_score, rel_tol=1e-12)

@@ -287,6 +287,30 @@ class TestFfbs:
             assert_allclose(freq, smoothed[t], atol=0.02)
 
 
+    def test_pinned_paths_for_a_fixed_seed(self):
+        # Recorded from the kernel-per-step implementation; building the
+        # kernels from one forward pass must not change a single draw.
+        hmm = random_hmm(np.random.default_rng(5), 3, 12, 3)
+        obs = [0, 2, 1, 1, 0, 2, 2, 1, 0, 0, 1, 2]
+        paths = ffbs_paths(hmm, obs, np.random.default_rng(2024), 4)
+        assert paths.tolist() == [
+            [1, 0, 1, 1, 0, 1, 0, 2, 0, 1, 2, 2],
+            [2, 0, 2, 0, 0, 0, 1, 2, 1, 0, 0, 1],
+            [0, 2, 2, 1, 1, 1, 1, 0, 0, 2, 0, 1],
+            [2, 1, 0, 1, 0, 1, 2, 0, 1, 2, 1, 2],
+        ]
+        # Structural zeros leave some kernel rows all zero.
+        sparse = DiscreteHmm.homogeneous(
+            [0.5, 0.5, 0.0], [[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.3, 0.7, 0.0]],
+            [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]], 10)
+        paths = ffbs_paths(sparse, [0, 1, 1, 0, 1, 0, 0, 1, 1, 0], np.random.default_rng(7), 3)
+        assert paths.tolist() == [
+            [1, 0, 1, 0, 1, 0, 1, 0, 2, 1],
+            [0, 2, 1, 2, 1, 2, 0, 2, 1, 2],
+            [0, 2, 1, 0, 1, 2, 0, 2, 1, 2],
+        ]
+
+
 class TestGaussianAlgebra:
     def test_equal_inputs_halve_variance(self):
         g = gaussian_product(Gaussian1(1.3, 0.8), Gaussian1(1.3, 0.8))
