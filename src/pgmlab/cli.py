@@ -23,8 +23,6 @@ from .errors import NumericError, PgmlabError, ValidationError
 from .factors import eliminate, normalise
 from .modelio import ModelDocument, parse_model, serialise_model
 
-STOCHASTIC = {"mh", "rejection", "importance", "gibbs-rbm", "ffbs"}
-
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 4
@@ -172,11 +170,14 @@ def _cmd_fg_map(args):
     offset = 0.0
     if evidence:
         fg, offset = messages.condition_factor_graph(fg, evidence)
-    root = args.root if args.root else fg.var_names[0]
-    result = messages.max_sum_map(fg, root)
+    root = args.root or next(iter(fg.var_names), None)
+    if root is None:  # the evidence observes every variable
+        assignment, log_score = {}, 0.0
+    else:
+        result = messages.max_sum_map(fg, root)
+        assignment, log_score = result.assignment, result.log_score
     echo = {"model": args.model, "evidence": evidence, "root": root}
-    return echo, {"assignment": result.assignment,
-                  "log_score": result.log_score + offset}, None
+    return echo, {"assignment": assignment, "log_score": log_score + offset}, None
 
 
 def _cmd_fg_eliminate(args):
@@ -219,6 +220,13 @@ def _obs_ints(text: str) -> list[int]:
         return [int(v) for v in _parse_names(text)]
     except ValueError:
         raise ValidationError("observations must be integers") from None
+
+
+def _floats(text: str) -> list[float]:
+    try:
+        return [float(v) for v in _parse_names(text)]
+    except ValueError:
+        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_hmm_filter(args):
@@ -268,7 +276,7 @@ def _cmd_hmm_ffbs(args):
 
 def _cmd_kalman_filter(args):
     model = parse_model(args.model).require("kalman")
-    obs = [float(v) for v in _parse_names(args.obs)]
+    obs = _floats(args.obs)
     steps = sequential.kalman_filter(model, obs)
     return ({"model": args.model, "obs": obs},
             {"steps": [{"mean": s.mean, "var": s.var, "gain": s.gain} for s in steps]}, None)
@@ -298,7 +306,7 @@ def _cmd_fit_cpt_bayes(args):
 
 
 def _cmd_fit_score_matching(args):
-    points = _read_float_column(args.data)
+    _, points = learning._read_csv(args.data, lambda row: float(row[0]))
     grad, curv = learning.gaussian_quadratic_stats()
     theta = learning.score_matching_fit(grad, curv, points)
     return ({"data": args.data, "family": "zero-mean Gaussian, statistic x^2"},
@@ -314,24 +322,6 @@ def _cmd_fit_ising2(args):
              "log_partition": learning.ising2_logZ(theta)}, None)
 
 
-def _read_float_column(path) -> np.ndarray:
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        try:
-            next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        try:
-            values = [float(row[0]) for row in reader if row]
-        except (ValueError, IndexError):
-            raise ValidationError(f"{path}: expected one numeric column") from None
-    if not values:
-        raise ValidationError(f"{path}: no data rows")
-    return np.asarray(values)
-
-
 def _cmd_sample_mh(args):
     rng = samplers.SeededRng(args.seed)
     if args.target == "normal":
@@ -341,7 +331,7 @@ def _cmd_sample_mh(args):
     else:  # poisson regression on (x, y) CSV columns
         if not args.data:
             raise ValidationError("--data is required for the poisson target")
-        pairs = _read_xy_csv(args.data)
+        _, pairs = learning._read_csv(args.data, lambda row: (float(row[0]), int(row[1])))
         log_p = samplers.poisson_regression_log_pstar(pairs)
         init = np.zeros(2)
     trace = samplers.mh(rng, log_p, init, args.samples, args.vari, args.warmup)
@@ -357,21 +347,6 @@ def _cmd_sample_mh(args):
     echo = {"target": args.target, "samples": args.samples, "vari": args.vari,
             "warmup": args.warmup, "data": args.data}
     return echo, outputs, args.seed
-
-
-def _read_xy_csv(path) -> list[tuple[float, int]]:
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        try:
-            next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        try:
-            return [(float(row[0]), int(row[1])) for row in reader if row]
-        except (ValueError, IndexError):
-            raise ValidationError(f"{path}: expected columns x,y") from None
 
 
 def _cmd_sample_rejection(args):
@@ -411,7 +386,7 @@ def _cmd_vi_meanfield(args):
 
 
 def _cmd_vi_klfit(args):
-    variances = [float(v) for v in _parse_names(args.variances)]
+    variances = _floats(args.variances)
     return ({"variances": variances},
             {"lambda2": variational.isotropic_kl_fit(variances)}, None)
 
@@ -424,9 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--table", action="store_true", help="plain-text output instead of JSON")
     top = parser.add_subparsers(dest="group", required=True)
 
-    def cmd(group_parser, name, func, needs_seed=False):
+    def cmd(group_parser, name, func, seeded=False):
         sub = group_parser.add_parser(name)
-        sub.set_defaults(func=func, needs_seed=needs_seed)
+        sub.set_defaults(func=func)
+        if seeded:
+            sub.add_argument("--seed", type=int, required=True)
         return sub
 
     graph = top.add_parser("graph").add_subparsers(dest="command", required=True)
@@ -481,11 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True)
         p.add_argument("--obs", required=True)
         p.add_argument("--t", type=int, required=True)
-    p = cmd(hmm, "ffbs", _cmd_hmm_ffbs, needs_seed=True)
+    p = cmd(hmm, "ffbs", _cmd_hmm_ffbs, seeded=True)
     p.add_argument("--model", required=True)
     p.add_argument("--obs", required=True)
     p.add_argument("--paths", type=int, default=1)
-    p.add_argument("--seed", type=int)
 
     kalman = top.add_parser("kalman").add_subparsers(dest="command", required=True)
     p = cmd(kalman, "filter", _cmd_kalman_filter)
@@ -507,28 +483,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
 
     sample = top.add_parser("sample").add_subparsers(dest="command", required=True)
-    p = cmd(sample, "mh", _cmd_sample_mh, needs_seed=True)
+    p = cmd(sample, "mh", _cmd_sample_mh, seeded=True)
     p.add_argument("--target", choices=["normal", "poisson"], default="normal")
     p.add_argument("--data", default="")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--samples", type=int, default=5000)
     p.add_argument("--vari", type=float, default=1.0)
     p.add_argument("--warmup", type=int, default=0)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out-csv", default="")
     p.add_argument("--out-json", default="")
-    p = cmd(sample, "rejection", _cmd_sample_rejection, needs_seed=True)
+    p = cmd(sample, "rejection", _cmd_sample_rejection, seeded=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--seed", type=int)
-    p = cmd(sample, "importance", _cmd_sample_importance, needs_seed=True)
+    p = cmd(sample, "importance", _cmd_sample_importance, seeded=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--threshold", type=float, default=5.0)
-    p.add_argument("--seed", type=int)
-    p = cmd(sample, "gibbs-rbm", _cmd_sample_gibbs_rbm, needs_seed=True)
+    p = cmd(sample, "gibbs-rbm", _cmd_sample_gibbs_rbm, seeded=True)
     p.add_argument("--model", required=True)
     p.add_argument("--sweeps", type=int, default=1000)
-    p.add_argument("--seed", type=int)
 
     vi = top.add_parser("vi").add_subparsers(dest="command", required=True)
     p = cmd(vi, "meanfield", _cmd_vi_meanfield)
@@ -544,8 +516,6 @@ def run(argv) -> dict:
     """Parse arguments, execute the command, and return the envelope."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "needs_seed", False) and args.seed is None:
-        raise _UsageError(f"--seed is required for stochastic command {args.command!r}")
     start = time.perf_counter()
     echo, outputs, seed = args.func(args)
     elapsed = time.perf_counter() - start

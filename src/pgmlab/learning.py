@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .errors import NumericError, SingularMatrixError, ValidationError
 from .graphs import Dag
 from .numerics import matrix_sqrt_psd
 from .sequential import Gaussian1, gaussian_product
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class BinaryDataset:
 
     @classmethod
     def from_csv(cls, path) -> "BinaryDataset":
-        header, rows = _read_csv(path)
+        header, rows = _read_csv(path, _int_row)
         return cls(header, rows)
 
     def column(self, name: str) -> np.ndarray:
@@ -56,7 +58,13 @@ class BinaryDataset:
         return self.rows.shape[0]
 
 
-def _read_csv(path) -> tuple[list[str], list[list[int]]]:
+def _read_csv(path, parse_row: Callable[[list[str]], T]) -> tuple[list[str], list[T]]:
+    """Header names and one parsed value per nonempty data row.
+
+    Every row must have as many fields as the header, and ``parse_row``
+    raises ValueError or IndexError on a row it cannot read; either fault
+    becomes a :class:`ValidationError` naming ``path:line``.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -67,16 +75,22 @@ def _read_csv(path) -> tuple[list[str], list[list[int]]]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                rows.append([int(x) for x in row])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-integer entry") from None
+                rows.append(parse_row(row))
+            except (ValueError, IndexError):
+                raise ValidationError(f"{path}:{lineno}: cannot read row {','.join(row)!r}") from None
     return [h.strip() for h in header], rows
+
+
+def _int_row(row: list[str]) -> list[int]:
+    return [int(x) for x in row]
 
 
 def load_spin_csv(path) -> np.ndarray:
     """Read a CSV of -1/+1 entries (header row ignored beyond its width)."""
-    header, rows = _read_csv(path)
+    header, rows = _read_csv(path, _int_row)
     arr = np.asarray(rows, dtype=int)
     if arr.size == 0 or arr.ndim != 2 or arr.shape[1] != len(header):
         raise ValidationError("spin data must be a nonempty rectangular table")
@@ -366,7 +380,6 @@ def fa_standardise(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     C = np.asarray(C, dtype=float)
     if F.ndim != 2 or C.shape != (F.shape[1], F.shape[1]):
         raise ValidationError("shape mismatch between F and C")
-    _check_psd(C)
     return F @ matrix_sqrt_psd(C)
 
 

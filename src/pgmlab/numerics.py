@@ -1,8 +1,9 @@
 """Linear-algebra kernels and matrix-calculus utilities.
 
-The symmetric eigensolver is a cyclic Jacobi sweep, good enough at desk
-scale and fully deterministic: eigenvalues come out descending and each
-eigenvector's largest-magnitude component is made positive.
+Everything runs on NumPy alone.  The symmetric eigendecomposition wraps
+``numpy.linalg.eigh`` under a deterministic convention: eigenvalues come
+out descending and each eigenvector's largest-magnitude component is made
+positive.  Newton steps solve through a Cholesky factor.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, SingularMatrixError, ValidationError
 
@@ -77,54 +77,24 @@ def power_method(
     raise ConvergenceError(f"no convergence in {max_iters} iterations", last=w)
 
 
-def sym_eigendecomposition(c: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigendecomposition(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors (columns) and eigenvalues of a symmetric matrix.
 
-    Cyclic Jacobi rotations until the off-diagonal norm falls below 1e-12
-    relative to the Frobenius norm.  Eigenvalues are returned descending.
+    Eigenvalues are returned descending; each eigenvector's
+    largest-magnitude component is positive.
     """
-    a = np.asarray(c, dtype=float).copy()
+    a = np.asarray(c, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("matrix must be finite")
     if not np.allclose(a, a.T, atol=1e-9, rtol=0.0):
         raise ValidationError("matrix must be symmetric")
-    n = a.shape[0]
-    a = 0.5 * (a + a.T)
-    e = np.eye(n)
-    scale = max(np.linalg.norm(a), 1e-300)
-
-    def off_norm() -> float:
-        return float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
-
-    for _ in range(max_sweeps):
-        if off_norm() <= 1e-12 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= 1e-300:
-                    continue
-                # Classic 2x2 symmetric Schur rotation.
-                tau = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                cth = 1.0 / np.sqrt(1.0 + t * t)
-                sth = t * cth
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = cth
-                rot[p, q] = sth
-                rot[q, p] = -sth
-                a = rot.T @ a @ rot
-                e = e @ rot
-    if off_norm() > 1e-12 * scale:
-        raise ConvergenceError(f"Jacobi sweep budget ({max_sweeps}) exhausted", last=(e, np.diag(a)))
-    eigvals = np.diag(a).copy()
+    eigvals, vecs = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order]
-    vecs = e[:, order]
-    for j in range(n):
-        lead = np.argmax(np.abs(vecs[:, j]))
-        if vecs[lead, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return vecs, eigvals
+    eigvals, vecs = eigvals[order], vecs[:, order]
+    lead = np.argmax(np.abs(vecs), axis=0)
+    return vecs * np.sign(vecs[lead, np.arange(len(lead))]), eigvals
 
 
 def matrix_sqrt_psd(c: np.ndarray) -> np.ndarray:
@@ -204,23 +174,17 @@ def newton_step(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Search direction p solving H p = g for symmetric positive definite H.
 
     The caller applies the update as w - p.  Solved through a Cholesky
-    factorisation; failure to factor raises
+    factorisation H = L L^T; failure to factor raises
     :class:`NotPositiveDefiniteError`.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
     h = np.asarray(h, dtype=float)
     if h.shape != (g.size, g.size):
         raise ValidationError("H must be square over the dimension of g")
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+        raise ValidationError("g and H must be finite")
     try:
-        factor = scipy.linalg.cho_factor(h)
-    except scipy.linalg.LinAlgError as exc:
+        lower = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"Cholesky factorisation failed: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, g)
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve for SPD systems; shared by Newton and score matching."""
-    try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, g))

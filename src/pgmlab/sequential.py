@@ -321,6 +321,17 @@ def gaussian_linear_marginal(prior: Gaussian1, a: float, b: float) -> Gaussian1:
     return Gaussian1(a * prior.mean, a * a * prior.var + b * b)
 
 
+def _coefficients(name: str, seq) -> tuple[float, ...]:
+    """One per-step coefficient list as floats; a scalar, a string or a
+    non-numeric entry is a validation error."""
+    if not isinstance(seq, (list, tuple, np.ndarray)) or any(isinstance(x, str) for x in seq):
+        raise ValidationError(f"{name} must be a list of numbers")
+    try:
+        return tuple(float(x) for x in seq)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a list of numbers") from None
+
+
 @dataclass(frozen=True)
 class KalmanModel:
     """Scalar linear-Gaussian state-space model with per-step coefficients.
@@ -338,7 +349,7 @@ class KalmanModel:
     prior: Gaussian1
 
     def __init__(self, A, B, C, D, prior: Gaussian1):
-        A, B, C, D = (tuple(float(x) for x in seq) for seq in (A, B, C, D))
+        A, B, C, D = (_coefficients(name, seq) for name, seq in zip("ABCD", (A, B, C, D)))
         n = len(A)
         if not (len(B) == len(C) == len(D) == n) or n == 0:
             raise ValidationError("coefficient lists must be nonempty and of equal length")

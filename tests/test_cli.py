@@ -3,11 +3,16 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 from numpy.testing import assert_allclose
 
+import pgmlab
 from pgmlab import cli
 from pgmlab.errors import ValidationError
 from pgmlab.modelio import parse_model, parse_model_dict, serialise_model
@@ -393,7 +398,10 @@ class TestSplitTreesAndMalformedInputs:
             assert math.isclose(env["outputs"]["log_score"], math.log(consistent[best]),
                                 rel_tol=1e-12)
 
-    @pytest.mark.parametrize("doc", [{"variables": [1]}, {"factors": ["x"]}])
+    @pytest.mark.parametrize("doc", [{"variables": [1]}, {"factors": ["x"]},
+                                     {"kalman": {**KALMAN_MODEL["kalman"], "A": 1.0}},
+                                     {"kalman": {**KALMAN_MODEL["kalman"], "B": [0.0, "x"]}},
+                                     {"kalman": {**KALMAN_MODEL["kalman"], "C": "2.0"}}])
     def test_non_object_entries_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.model"
         path.write_text(json.dumps(doc))
@@ -407,3 +415,41 @@ class TestSplitTreesAndMalformedInputs:
         model = {"hmm": {**HMM_MODEL["hmm"], "prior": [float("nan"), 1.0]}}
         assert cli.main(["hmm", "filter", "--model", write_model("h.model", model),
                          "--obs", "1"]) == 2
+
+    def test_map_with_every_variable_observed(self, write_model):
+        env = cli.run(["fg", "map", "--model", write_model("c.model", CHAIN_MODEL),
+                       "--evidence", "y1=1,y2=0,y3=1,y4=1,y5=0"])
+        assert env["outputs"]["assignment"] == {}
+        assert math.isclose(env["outputs"]["log_score"],
+                            math.log(_chain_joint()[(1, 0, 1, 1, 0)]), rel_tol=1e-11)
+
+    def test_non_numeric_float_list_exits_2(self, write_model, capsys):
+        kalman = write_model("k.model", KALMAN_MODEL)
+        for argv in (["vi", "klfit", "--variances", "1,x"],
+                     ["kalman", "filter", "--model", kalman, "--obs=1,x"]):
+            assert cli.main(argv) == 2, argv
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["fit", "score-matching"],
+                                      ["sample", "mh", "--target", "poisson", "--seed", "1"]])
+    def test_bad_csv_row_names_path_and_line(self, tmp_path, capsys, argv):
+        data = tmp_path / "rows.csv"
+        data.write_text("x,y\n0.5,1\nabc,2\n")
+        assert cli.main(argv + ["--data", str(data)]) == 2
+        assert f"{data}:3:" in capsys.readouterr().err
+
+
+def test_stochastic_commands_require_seed(write_model):
+    hmm, rbm = write_model("h.model", HMM_MODEL), write_model("r.model", RBM_MODEL)
+    for argv in (["hmm", "ffbs", "--model", hmm, "--obs", "1"], ["sample", "mh"],
+                 ["sample", "rejection"], ["sample", "importance"],
+                 ["sample", "gibbs-rbm", "--model", rbm]):
+        assert cli.main(argv) == 4, argv
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(pgmlab.__file__).resolve().parents[1])
+    probe = "import sys, pgmlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

@@ -300,6 +300,12 @@ class TestFactorAnalysis:
             fa_marginal(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
                         np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("C", [[[1.0, 0.5], [0.0, 1.0]],   # asymmetric
+                                   [[1.0, 2.0], [2.0, 1.0]]])  # indefinite
+    def test_standardise_rejects_bad_latent_covariance(self, C):
+        with pytest.raises(ValidationError):
+            fa_standardise(np.eye(2), np.array(C))
+
 
 class TestCsvLoading:
     def test_binary_round_trip(self, tmp_path):
@@ -319,3 +325,9 @@ class TestCsvLoading:
         path = tmp_path / "d.csv"
         path.write_text("x1,x2\n-1,-1\n-1,1\n1,-1\n")
         assert load_spin_csv(path).tolist() == [[-1, -1], [-1, 1], [1, -1]]
+
+    def test_ragged_row_names_path_and_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,s\n0,1\n\n1\n")
+        with pytest.raises(ValidationError, match=r"d\.csv:4:"):
+            BinaryDataset.from_csv(path)

@@ -137,6 +137,10 @@ class TestEigendecomposition:
         with pytest.raises(ValidationError):
             sym_eigendecomposition(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError):
+            sym_eigendecomposition(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+
 
 class TestSqrtAndWhitening:
     def test_identity(self):
@@ -233,3 +237,7 @@ class TestNewtonStep:
     def test_non_pd_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             newton_step(np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_nan_hessian_rejected(self):
+        with pytest.raises(ValidationError):
+            newton_step(np.ones(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
