@@ -4,14 +4,17 @@ Every command reads its model/data from files, runs the corresponding
 library routine, and prints a JSON result envelope (or a plain table with
 ``--table``).  Floats in the envelope are emitted with 12 significant
 digits.  Exit codes: 0 success, 2 validation error, 3 numeric error,
-4 usage error.
+4 usage error, and 1 without a traceback when the reader closes standard
+output early (``pgmlab ... | head -3``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -26,6 +29,7 @@ from .modelio import ModelDocument, parse_model, serialise_model
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 4
+EXIT_BROKEN_PIPE = 1
 
 
 class _UsageError(Exception):
@@ -394,6 +398,7 @@ def _cmd_vi_klfit(args):
 # -- parser wiring -------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: no action has a mutable default
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pgmlab", description=__doc__)
     parser.add_argument("--table", action="store_true", help="plain-text output instead of JSON")
@@ -546,7 +551,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     table = "--table" in argv
-    _print_envelope(envelope, table)
+    try:
+        _print_envelope(envelope, table)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # The recipe from the `signal` docs: point stdout at devnull so the
+        # interpreter's final flush stays quiet, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return 0
 
 

@@ -47,7 +47,10 @@ class DiscreteFactor:
 
     def __init__(self, scope: Iterable[tuple[str, int]], values):
         scope = _validate_scope(scope)
-        arr = np.asarray(values, dtype=float).reshape(-1)
+        try:
+            arr = np.asarray(values, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise ValidationError("factor values must be numbers") from None
         size = math.prod(c for _, c in scope)
         if arr.size != size:
             raise ValidationError(f"expected {size} values for scope {scope}, got {arr.size}")

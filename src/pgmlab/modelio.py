@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ValidationError
 from .factors import DiscreteFactor
 from .graphs import Dag, Ugm
@@ -56,6 +54,16 @@ def _expect(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(mapping: dict, key: str, where: str, kind=float):
+    """A required scalar field converted with ``kind`` (``int`` or ``float``)."""
+    value = _expect(mapping, key, where)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{where}: field {key!r} must be {noun}, got {value!r}") from None
+
+
 def _entries(doc: dict, key: str) -> list:
     section = doc.get(key, [])
     if not isinstance(section, list):
@@ -70,7 +78,7 @@ def parse_model_dict(doc: dict) -> ModelDocument:
 
     for entry in _entries(doc, "variables"):
         name = str(_expect(entry, "name", "variables"))
-        card = int(_expect(entry, "card", f"variable {name!r}"))
+        card = _number(entry, "card", f"variable {name!r}", int)
         out.variables.append((name, card))
     declared = dict(out.variables)
     if len(declared) != len(out.variables):
@@ -110,8 +118,7 @@ def parse_model_dict(doc: dict) -> ModelDocument:
             _expect(section, "B", "kalman"),
             _expect(section, "C", "kalman"),
             _expect(section, "D", "kalman"),
-            Gaussian1(float(_expect(prior, "mean", "kalman.prior")),
-                      float(_expect(prior, "var", "kalman.prior"))),
+            Gaussian1(_number(prior, "mean", "kalman.prior"), _number(prior, "var", "kalman.prior")),
         )
     if "rbm" in doc:
         section = doc["rbm"]
@@ -152,14 +159,14 @@ def _nesting(x) -> int:
 def _parse_hmm(section: dict) -> DiscreteHmm:
     """Accepts shared (2-D) or per-step (3-D) transition/emission matrices;
     the fully shared form additionally needs a 'steps' count."""
-    prior = np.asarray(_expect(section, "prior", "hmm"), dtype=float)
+    prior = _expect(section, "prior", "hmm")
     transitions = _expect(section, "transitions", "hmm")
     emissions = _expect(section, "emissions", "hmm")
     t_depth, e_depth = _nesting(transitions), _nesting(emissions)
     if t_depth not in (2, 3) or e_depth not in (2, 3):
         raise ValidationError("hmm: transitions and emissions must be matrices or lists of matrices")
     if t_depth == 2 and e_depth == 2:
-        steps = int(_expect(section, "steps", "hmm (homogeneous form)"))
+        steps = _number(section, "steps", "hmm (homogeneous form)", int)
         return DiscreteHmm.homogeneous(prior, transitions, emissions, steps)
     emis_list = list(emissions) if e_depth == 3 else []
     trans_list = list(transitions) if t_depth == 3 else [transitions] * (len(emis_list) - 1)

@@ -4,7 +4,8 @@ HMM steps are 1-based in the docs below; internally everything is 0-based.
 Transition and emission matrices are row-stochastic: ``transitions[t][i, j]``
 is p(h_{t+2}=j | h_{t+1}=i) and ``emissions[t][i, k]`` is p(v_{t+1}=k |
 h_{t+1}=i).  All matrices may vary per step; use :meth:`DiscreteHmm.homogeneous`
-for the common time-invariant case.
+for the common time-invariant case.  A matrix object repeated across steps
+is validated once and stored once.
 
 Filtered quantities are stored normalised with the per-step normalisers
 folded into a running log term, so long chains cannot underflow while the
@@ -24,8 +25,15 @@ from .errors import ImpossibleEvidenceError, NumericError, ValidationError
 _ROW_TOL = 1e-9
 
 
+def _float_array(x, what: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numeric and rectangular") from None
+
+
 def _check_row_stochastic(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    m = _float_array(m, what)
     if m.ndim != 2:
         raise ValidationError(f"{what} must be a matrix")
     if np.any(m < 0) or not np.all(np.isfinite(m)):
@@ -33,6 +41,17 @@ def _check_row_stochastic(m: np.ndarray, what: str) -> np.ndarray:
     if not np.allclose(m.sum(axis=1), 1.0, atol=_ROW_TOL, rtol=0.0):
         raise ValidationError(f"rows of {what} must sum to 1")
     return m
+
+
+def _check_each(matrices, what: str) -> tuple[np.ndarray, ...]:
+    """Validate each distinct matrix object once; a step that repeats an
+    object shares its validated array, so a time-invariant model holds one."""
+    matrices = list(matrices)  # keeps every input alive while ids key the cache
+    checked: dict[int, np.ndarray] = {}
+    for m in matrices:
+        if id(m) not in checked:
+            checked[id(m)] = _check_row_stochastic(m, what)
+    return tuple(checked[id(m)] for m in matrices)
 
 
 @dataclass(frozen=True)
@@ -44,14 +63,14 @@ class DiscreteHmm:
     emissions: tuple[np.ndarray, ...]
 
     def __init__(self, prior, transitions: Sequence, emissions: Sequence):
-        prior = np.asarray(prior, dtype=float)
+        prior = _float_array(prior, "prior")
         if prior.ndim != 1 or np.any(prior < 0) or not np.all(np.isfinite(prior)):
             raise ValidationError("prior must be a finite non-negative vector")
         if abs(prior.sum() - 1.0) > _ROW_TOL:
             raise ValidationError("prior must sum to 1")
         k = prior.size
-        trans = tuple(_check_row_stochastic(t, "transition matrix") for t in transitions)
-        emis = tuple(_check_row_stochastic(e, "emission matrix") for e in emissions)
+        trans = _check_each(transitions, "transition matrix")
+        emis = _check_each(emissions, "emission matrix")
         if len(emis) != len(trans) + 1:
             raise ValidationError("need one emission matrix per step and one transition per gap")
         for t in trans:
@@ -210,8 +229,12 @@ def viterbi(hmm: DiscreteHmm, observations: Sequence[int]) -> tuple[list[int], f
     with np.errstate(divide="ignore"):
         scores = np.log(hmm.prior) + np.log(hmm.emissions[0][:, obs[0]])
         back: list[np.ndarray] = []
+        log_trans: dict[int, np.ndarray] = {}  # one log per distinct matrix
         for t in range(1, n):
-            trans = np.log(hmm.transitions[t - 1])
+            m = hmm.transitions[t - 1]
+            trans = log_trans.get(id(m))
+            if trans is None:
+                trans = log_trans[id(m)] = np.log(m)
             cand = scores[:, None] + trans  # rows: previous state
             back.append(cand.argmax(axis=0))
             scores = cand.max(axis=0) + np.log(hmm.emissions[t][:, obs[t]])

@@ -453,3 +453,62 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("doc, argv, field", [
+    ({"variables": [{"name": "a", "card": "x"}]}, ["fg", "marginal", "--var", "a"], "'card'"),
+    ({"variables": [{"name": "a", "card": 2}],
+      "factors": [{"name": "f", "scope": ["a"], "values": ["x", 1]}]},
+     ["fg", "marginal", "--var", "a"], "factor 'f'"),
+    ({"kalman": {**KALMAN_MODEL["kalman"], "prior": {"mean": "x", "var": 1.0}}},
+     ["kalman", "filter", "--obs=1,2"], "'mean'"),
+    ({"hmm": {**HMM_MODEL["hmm"], "steps": "x"}}, ["hmm", "filter", "--obs", "1"], "'steps'"),
+])
+def test_non_numeric_scalar_names_the_field(write_model, capsys, doc, argv, field):
+    path = write_model("bad.model", doc)
+    assert cli.main(argv[:2] + ["--model", path] + argv[2:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and field in err
+    assert "Traceback" not in err
+
+
+def test_closed_pipe_exits_1_without_traceback(tmp_path):
+    steps = 3000  # an envelope far larger than a pipe buffer
+    model = tmp_path / "long.model"
+    model.write_text(json.dumps({"hmm": {**HMM_MODEL["hmm"], "steps": steps}}))
+    src = str(Path(pgmlab.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "pgmlab.cli", "hmm", "filter", "--model", str(model),
+                             "--obs", ",".join("1" * steps)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()  # the reader goes away, as `head -1` would
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
+
+
+def test_repeated_main_calls_match_fresh_parsers(write_model, capsys):
+    path = write_model("c.model", CHAIN_MODEL)
+    calls = [["fg", "map", "--model", path, "--root", "y3", "--evidence", "y1=1"],
+             ["fg", "map", "--model", path],
+             ["--table", "fg", "marginal", "--model", path, "--var", "y2", "--evidence", "y5=0"],
+             ["fg", "marginal", "--model", path, "--var", "y2"]]
+
+    def output(argv):
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out
+        if argv[0] == "--table":
+            return text
+        envelope = json.loads(text)
+        envelope.pop("elapsed_seconds")
+        return envelope
+
+    warm = [output(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(output(argv))
+    assert warm == fresh
+    assert warm[0]["inputs"] != warm[1]["inputs"]
