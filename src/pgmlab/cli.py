@@ -11,7 +11,6 @@ output early (``pgmlab ... | head -3``).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -398,7 +397,6 @@ def _cmd_vi_klfit(args):
 # -- parser wiring -------------------------------------------------------------
 
 
-@functools.cache  # one parser per process: no action has a mutable default
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pgmlab", description=__doc__)
     parser.add_argument("--table", action="store_true", help="plain-text output instead of JSON")
@@ -555,12 +553,29 @@ def main(argv=None) -> int:
         _print_envelope(envelope, table)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     except BrokenPipeError:
-        # The recipe from the `signal` docs: point stdout at devnull so the
-        # interpreter's final flush stays quiet, and exit 1.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     return 0
 
 
+def console_main() -> int:
+    """Entry point of the ``pgmlab`` script and ``python -m pgmlab.cli``.
+
+    Runs :func:`main`; if the reader closed standard output, points it at
+    devnull so the interpreter's final flush stays quiet, the recipe from the
+    ``signal`` docs.  That is only safe because the process is about to exit,
+    so in-process callers of :func:`main` never reach it.
+    """
+    code = main()
+    if code == EXIT_BROKEN_PIPE:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

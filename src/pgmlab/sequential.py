@@ -229,12 +229,8 @@ def viterbi(hmm: DiscreteHmm, observations: Sequence[int]) -> tuple[list[int], f
     with np.errstate(divide="ignore"):
         scores = np.log(hmm.prior) + np.log(hmm.emissions[0][:, obs[0]])
         back: list[np.ndarray] = []
-        log_trans: dict[int, np.ndarray] = {}  # one log per distinct matrix
         for t in range(1, n):
-            m = hmm.transitions[t - 1]
-            trans = log_trans.get(id(m))
-            if trans is None:
-                trans = log_trans[id(m)] = np.log(m)
+            trans = np.log(hmm.transitions[t - 1])
             cand = scores[:, None] + trans  # rows: previous state
             back.append(cand.argmax(axis=0))
             scores = cand.max(axis=0) + np.log(hmm.emissions[t][:, obs[t]])
