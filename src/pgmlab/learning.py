@@ -246,6 +246,33 @@ def _as_points(data) -> np.ndarray:
     return points
 
 
+def _score_stats(stat_gradients: Callable, stat_curvatures: Callable, data) -> tuple[np.ndarray, np.ndarray]:
+    """The score-matching statistics (r, M): r averages each statistic's
+    summed curvatures over the points, M averages the gradient Gram matrix.
+
+    When both callables carry a ``batch`` form (points -> n x K x m arrays)
+    it is called once on all points; otherwise each callable is called per
+    point and must return a K x m array.
+    """
+    points = _as_points(data)
+    n = points.shape[0]
+    if n == 0:
+        raise ValidationError("empty data")
+    batch_grad = getattr(stat_gradients, "batch", None)
+    batch_curv = getattr(stat_curvatures, "batch", None)
+    if batch_grad is not None and batch_curv is not None:
+        k = np.asarray(batch_grad(points), dtype=float)
+        h = np.asarray(batch_curv(points), dtype=float)
+    else:
+        k = np.stack([np.atleast_2d(np.asarray(stat_gradients(x), dtype=float)) for x in points])
+        h = np.stack([np.atleast_2d(np.asarray(stat_curvatures(x), dtype=float)) for x in points])
+    if k.ndim != 3 or k.shape != h.shape:
+        raise ValidationError("gradient and curvature arrays must have equal shape")
+    r = h.sum(axis=(0, 2)) / n
+    flat = k.transpose(1, 0, 2).reshape(k.shape[1], -1)
+    return r, flat @ flat.T / n
+
+
 def score_matching_fit(
     stat_gradients: Callable[[np.ndarray], np.ndarray],
     stat_curvatures: Callable[[np.ndarray], np.ndarray],
@@ -258,22 +285,10 @@ def score_matching_fit(
     statistics at one point.  The objective is the quadratic form
     theta.r + theta.M theta / 2 with r the averaged summed curvatures and
     M the averaged gradient Gram matrix; the minimiser solves M theta = -r.
+    When both callables carry a ``batch`` attribute mapping an n x m array
+    of points to n x K x m arrays, it replaces the per-point calls.
     """
-    points = _as_points(data)
-    n = points.shape[0]
-    if n == 0:
-        raise ValidationError("empty data")
-    r = None
-    m = None
-    for x in points:
-        k = np.atleast_2d(np.asarray(stat_gradients(x), dtype=float))
-        h = np.atleast_2d(np.asarray(stat_curvatures(x), dtype=float))
-        if k.shape != h.shape:
-            raise ValidationError("gradient and curvature arrays must have equal shape")
-        r = h.sum(axis=1) if r is None else r + h.sum(axis=1)
-        m = k @ k.T if m is None else m + k @ k.T
-    r = r / n
-    m = m / n
+    r, m = _score_stats(stat_gradients, stat_curvatures, data)
     if not np.all(np.isfinite(m)) or np.linalg.matrix_rank(m) < m.shape[0]:
         raise SingularMatrixError("design matrix M is singular")
     return np.linalg.solve(m, -r)
@@ -286,22 +301,19 @@ def score_matching_objective(
     theta: np.ndarray,
 ) -> float:
     """Evaluate the quadratic score-matching objective at ``theta``."""
-    points = _as_points(data)
+    r, m = _score_stats(stat_gradients, stat_curvatures, data)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    total = 0.0
-    for x in points:
-        k = np.atleast_2d(np.asarray(stat_gradients(x), dtype=float))
-        h = np.atleast_2d(np.asarray(stat_curvatures(x), dtype=float))
-        slopes = theta @ k
-        curls = theta @ h
-        total += float(np.sum(curls + 0.5 * slopes**2))
-    return total / points.shape[0]
+    return float(theta @ r + 0.5 * theta @ m @ theta)
 
 
 def gaussian_quadratic_stats() -> tuple[Callable, Callable]:
-    """Gradient/curvature evaluators for the single statistic F(x) = x^2."""
+    """Gradient/curvature evaluators for the single statistic F(x) = x^2.
+
+    Each also carries a ``batch`` form over an n x m array of points."""
     grad = lambda x: np.array([[2.0 * float(np.atleast_1d(x)[0])]])
     curv = lambda x: np.array([[2.0]])
+    grad.batch = lambda points: 2.0 * points[:, :1, None]
+    curv.batch = lambda points: np.full((points.shape[0], 1, 1), 2.0)
     return grad, curv
 
 

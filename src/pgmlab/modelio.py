@@ -64,6 +64,16 @@ def _number(mapping: dict, key: str, where: str, kind=float):
         raise ValidationError(f"{where}: field {key!r} must be {noun}, got {value!r}") from None
 
 
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _names(value, where: str) -> list[str]:
+    if not _is_names(value):
+        raise ValidationError(f"{where} must be a list of names")
+    return value
+
+
 def _entries(doc: dict, key: str) -> list:
     section = doc.get(key, [])
     if not isinstance(section, list):
@@ -103,11 +113,18 @@ def parse_model_dict(doc: dict) -> ModelDocument:
 
     if "dag" in doc:
         section = doc["dag"]
-        out.dag = Dag(_expect(section, "nodes", "dag"), section.get("parents", {}))
+        nodes = _names(_expect(section, "nodes", "dag"), "dag: 'nodes'")
+        parents = section.get("parents", {})
+        if not isinstance(parents, dict):
+            raise ValidationError("dag: 'parents' must map each node to a list of names")
+        out.dag = Dag(nodes, {c: _names(ps, f"dag: parents of {c!r}") for c, ps in parents.items()})
     if "ugm" in doc:
         section = doc["ugm"]
-        nodes = _expect(section, "nodes", "ugm")
-        out.ugm = Ugm(nodes, [tuple(e) for e in section.get("edges", [])])
+        nodes = _names(_expect(section, "nodes", "ugm"), "ugm: 'nodes'")
+        edges = section.get("edges", [])
+        if not isinstance(edges, list) or not all(_is_names(e) and len(e) == 2 for e in edges):
+            raise ValidationError("ugm: 'edges' must be a list of [a, b] name pairs")
+        out.ugm = Ugm(nodes, [tuple(e) for e in edges])
     if "hmm" in doc:
         out.hmm = _parse_hmm(doc["hmm"])
     if "kalman" in doc:

@@ -15,6 +15,15 @@ import numpy as np
 from .errors import ConvergenceError, NotPositiveDefiniteError, SingularMatrixError, ValidationError
 
 
+def float_array(x, what: str) -> np.ndarray:
+    """``x`` as a float array; a non-numeric entry or a ragged nesting is a
+    validation error naming ``what``."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numeric and rectangular") from None
+
+
 def gram_schmidt(vectors: Sequence[np.ndarray], tol: float = 1e-10) -> tuple[list[np.ndarray], list[bool]]:
     """Orthogonalise vectors in order, flagging dependent ones.
 

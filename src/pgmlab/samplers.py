@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .numerics import float_array
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -327,9 +328,9 @@ class RbmModel:
     b: np.ndarray
 
     def __init__(self, W, a, b):
-        W = np.asarray(W, dtype=float)
-        a = np.asarray(a, dtype=float).reshape(-1)
-        b = np.asarray(b, dtype=float).reshape(-1)
+        W = float_array(W, "W")
+        a = float_array(a, "a").reshape(-1)
+        b = float_array(b, "b").reshape(-1)
         if W.ndim != 2 or W.shape != (a.size, b.size):
             raise ValidationError("W must be (len(a), len(b))")
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -347,8 +348,21 @@ class RbmModel:
         return self.b.size
 
 
+#: Sweeps whose uniforms ``gibbs_rbm`` draws in one call; caps the block's
+#: memory whatever the number of sweeps.
+_GIBBS_BLOCK = 1024
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def _hidden_probs(model: RbmModel, v: np.ndarray) -> np.ndarray:
+    return _sigmoid(v @ model.W + model.b)
+
+
+def _visible_probs(model: RbmModel, h: np.ndarray) -> np.ndarray:
+    return _sigmoid(model.W @ h + model.a)
 
 
 def rbm_conditionals(model: RbmModel) -> tuple[Callable, Callable]:
@@ -356,12 +370,10 @@ def rbm_conditionals(model: RbmModel) -> tuple[Callable, Callable]:
     and p(v_i=1 | h) = sigmoid(W[i,:] h + a_i), each returned as a vector."""
 
     def hidden_given_visible(v) -> np.ndarray:
-        v = _check_binary(v, model.n_visible, "v")
-        return _sigmoid(v @ model.W + model.b)
+        return _hidden_probs(model, _check_binary(v, model.n_visible, "v"))
 
     def visible_given_hidden(h) -> np.ndarray:
-        h = _check_binary(h, model.n_hidden, "h")
-        return _sigmoid(model.W @ h + model.a)
+        return _visible_probs(model, _check_binary(h, model.n_hidden, "h"))
 
     return hidden_given_visible, visible_given_hidden
 
@@ -380,18 +392,21 @@ def gibbs_rbm(rng: SeededRng, model: RbmModel, sweeps: int, v0=None) -> np.ndarr
     visibles, then all visibles given the hiddens.
 
     Returns the visible configuration after every sweep, shape
-    (sweeps, n_visible).
+    (sweeps, n_visible).  Each sweep consumes ``n_hidden`` then
+    ``n_visible`` uniforms; they are drawn up to ``_GIBBS_BLOCK`` sweeps at
+    a time, which PCG64 yields in the same order as one draw per half-sweep.
     """
     if sweeps < 1:
         raise ValidationError("sweeps must be >= 1")
-    h_given_v, v_given_h = rbm_conditionals(model)
-    v = np.zeros(model.n_visible, dtype=int) if v0 is None else np.asarray(v0, dtype=int)
-    _check_binary(v, model.n_visible, "v0")
+    v = _check_binary(np.zeros(model.n_visible) if v0 is None else v0, model.n_visible, "v0")
+    n_hidden = model.n_hidden
     out = np.empty((sweeps, model.n_visible), dtype=int)
-    for k in range(sweeps):
-        h = (rng.uniform(size=model.n_hidden) < h_given_v(v)).astype(int)
-        v = (rng.uniform(size=model.n_visible) < v_given_h(h)).astype(int)
-        out[k] = v
+    for start in range(0, sweeps, _GIBBS_BLOCK):
+        block = rng.uniform(size=(min(_GIBBS_BLOCK, sweeps - start), n_hidden + model.n_visible))
+        for k, u in enumerate(block, start):
+            h = (u[:n_hidden] < _hidden_probs(model, v)).astype(float)
+            v = (u[n_hidden:] < _visible_probs(model, h)).astype(float)
+            out[k] = v
     return out
 
 

@@ -21,19 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, NumericError, ValidationError
+from .numerics import float_array
 
 _ROW_TOL = 1e-9
 
 
-def _float_array(x, what: str) -> np.ndarray:
-    try:
-        return np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be numeric and rectangular") from None
-
-
 def _check_row_stochastic(m: np.ndarray, what: str) -> np.ndarray:
-    m = _float_array(m, what)
+    m = float_array(m, what)
     if m.ndim != 2:
         raise ValidationError(f"{what} must be a matrix")
     if np.any(m < 0) or not np.all(np.isfinite(m)):
@@ -63,7 +57,7 @@ class DiscreteHmm:
     emissions: tuple[np.ndarray, ...]
 
     def __init__(self, prior, transitions: Sequence, emissions: Sequence):
-        prior = _float_array(prior, "prior")
+        prior = float_array(prior, "prior")
         if prior.ndim != 1 or np.any(prior < 0) or not np.all(np.isfinite(prior)):
             raise ValidationError("prior must be a finite non-negative vector")
         if abs(prior.sum() - 1.0) > _ROW_TOL:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
+from .numerics import float_array
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class GaussianTarget:
     linear: np.ndarray
 
     def __init__(self, precision, linear):
-        lam = np.asarray(precision, dtype=float)
-        eta = np.asarray(linear, dtype=float).reshape(-1)
+        lam = float_array(precision, "precision")
+        eta = float_array(linear, "linear").reshape(-1)
         if lam.ndim != 2 or lam.shape != (eta.size, eta.size):
             raise ValidationError("precision must be square over the dimension of linear")
         if not np.allclose(lam, lam.T, atol=1e-9, rtol=0.0):

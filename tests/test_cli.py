@@ -464,6 +464,17 @@ def test_cli_import_leaves_scipy_unloaded():
     ({"kalman": {**KALMAN_MODEL["kalman"], "prior": {"mean": "x", "var": 1.0}}},
      ["kalman", "filter", "--obs=1,2"], "'mean'"),
     ({"hmm": {**HMM_MODEL["hmm"], "steps": "x"}}, ["hmm", "filter", "--obs", "1"], "'steps'"),
+    ({"rbm": {**RBM_MODEL["rbm"], "W": [["x"]]}}, ["sample", "gibbs-rbm", "--seed", "1"], "W must"),
+    ({"rbm": {**RBM_MODEL["rbm"], "W": [[1, 2], [3]]}}, ["sample", "gibbs-rbm", "--seed", "1"], "W must"),
+    ({"meanfield": {**MEANFIELD_MODEL["meanfield"], "precision": [["x"]]}}, ["vi", "meanfield"],
+     "precision must"),
+    ({"meanfield": {**MEANFIELD_MODEL["meanfield"], "precision": [[2.0, 1.0], [1.0]]}}, ["vi", "meanfield"],
+     "precision must"),
+    ({"dag": {"nodes": 5}}, ["graph", "moralize"], "dag: 'nodes'"),
+    ({"dag": {"nodes": ["a"], "parents": ["a"]}}, ["graph", "moralize"], "dag: 'parents'"),
+    ({"ugm": {"nodes": 5}}, ["graph", "usep", "--x", "a", "--y", "b"], "ugm: 'nodes'"),
+    ({"ugm": {"nodes": ["a", "b"], "edges": [["a"]]}}, ["graph", "usep", "--x", "a", "--y", "b"],
+     "ugm: 'edges'"),
 ])
 def test_non_numeric_scalar_names_the_field(write_model, capsys, doc, argv, field):
     path = write_model("bad.model", doc)

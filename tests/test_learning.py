@@ -228,6 +228,40 @@ class TestScoreMatching:
         assert_allclose(m, m.T)
         assert np.linalg.eigvalsh(m).min() >= -1e-12
 
+    def test_whole_array_and_per_point_paths_agree(self):
+        grad, curv = gaussian_quadratic_stats()
+        per_point = (lambda x: grad(x)), (lambda x: curv(x))  # no batch form
+        rng = np.random.default_rng(8)
+        for data in (rng.normal(0, 1.3, size=500), rng.normal(size=(40, 3))):
+            theta = score_matching_fit(grad, curv, data)
+            assert_allclose(score_matching_fit(*per_point, data), theta, rtol=1e-12)
+            for probe in (theta, np.array([-0.7]), np.array([0.4])):
+                assert math.isclose(score_matching_objective(grad, curv, data, probe),
+                                    score_matching_objective(*per_point, data, probe), rel_tol=1e-12)
+
+    def test_objective_is_mean_of_per_point_terms(self):
+        grads = lambda x: np.array([[2 * x[0]], [3 * x[0] ** 2]])
+        curvs = lambda x: np.array([[2.0], [6 * x[0]]])
+        rng = np.random.default_rng(9)
+        data, theta = rng.normal(size=(25, 1)), np.array([-0.6, 0.2])
+        expected = np.mean([np.sum(theta @ curvs(x) + 0.5 * (theta @ grads(x)) ** 2) for x in data])
+        assert math.isclose(score_matching_objective(grads, curvs, data, theta), expected, rel_tol=1e-12)
+        grad, curv = gaussian_quadratic_stats()
+        data, t = rng.normal(size=30), -0.3
+        expected = np.mean([2 * t + 0.5 * (2 * t * x) ** 2 for x in data])
+        assert math.isclose(score_matching_objective(grad, curv, data, np.array([t])), expected,
+                            rel_tol=1e-12)
+
+    def test_whole_array_shape_mismatch_rejected(self):
+        grad = lambda x: np.array([[2 * x[0]]])
+        curv = lambda x: np.array([[2.0]])
+        grad.batch = lambda points: 2.0 * points[:, :1, None]
+        curv.batch = lambda points: np.full((points.shape[0], 2, 1), 2.0)
+        with pytest.raises(ValidationError, match="equal shape"):
+            score_matching_fit(grad, curv, np.array([1.0, 2.0]))
+        with pytest.raises(ValidationError, match="equal shape"):
+            score_matching_objective(grad, curv, np.array([1.0, 2.0]), np.array([0.5]))
+
     def test_constant_statistic_is_singular(self):
         grads = lambda x: np.array([[2 * x[0]], [0.0]])
         curvs = lambda x: np.array([[2.0], [0.0]])

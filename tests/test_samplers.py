@@ -1,6 +1,7 @@
 """Monte Carlo machinery: transforms, rejection/importance sampling, MH,
 RBM Gibbs, and diagnostics.  All stochastic checks run under fixed seeds."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from pgmlab import samplers
 from pgmlab.errors import NumericError, ValidationError
 from pgmlab.samplers import (
     POISSON_DEMO_DATA,
@@ -297,6 +299,34 @@ class TestRbm:
         h_given_v, _ = rbm_conditionals(small_model)
         with pytest.raises(ValidationError):
             h_given_v(np.array([0, 1, 1]))
+
+    # Recorded from the sampler that drew n_hidden then n_visible uniforms
+    # per half-sweep: hash of the visible sweeps, then the next uniform.
+    # 1024 and 1025 sit on and just past the uniform block boundary.
+    @pytest.mark.parametrize("seed, sweeps, v0, digest, next_u", [
+        (0, 1, None, "9f44ac6acb8a37b0", 0.9127555772777217),
+        (1, 1024, None, "104868d4ee104661", 0.18182824858896274),
+        (2, 1025, None, "12d00e7d0e60dd8c", 0.7683515884551899),
+        (3, 1, [1, 0, 1], "cf7605ed1bc735f6", 0.4331269402364738),
+        (4, 1024, [0, 1, 1], "083ebd6c047d7f5e", 0.7573784121582634),
+        (5, 1025, [1, 1, 0], "d30cb02a19cff6cb", 0.6980809760689654),
+        (6, 2500, None, "f8a703cb624b9f5b", 0.06328564128528702),
+    ])
+    def test_gibbs_stream_is_pinned(self, seed, sweeps, v0, digest, next_u):
+        assert samplers._GIBBS_BLOCK == 1024
+        rng = np.random.default_rng(3)
+        model = RbmModel(0.8 * rng.normal(size=(3, 2)), 0.3 * rng.normal(size=3),
+                         0.3 * rng.normal(size=2))
+        stream = SeededRng(seed)
+        out = gibbs_rbm(stream, model, sweeps, v0)
+        assert out.shape == (sweeps, 3)
+        assert hashlib.sha256(out.astype(np.uint8).tobytes()).hexdigest()[:16] == digest
+        assert float(stream.uniform()) == next_u
+
+    @pytest.mark.parametrize("v0", [[0, 1, 1], [0, 2], [0.5, 1], [[0, 1]]])
+    def test_gibbs_rejects_bad_v0(self, small_model, v0):
+        with pytest.raises(ValidationError, match="v0 must"):
+            gibbs_rbm(SeededRng(0), small_model, 5, v0)
 
 
 class TestEss:
