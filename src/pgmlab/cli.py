@@ -18,11 +18,7 @@ import sys
 import time
 from collections import Counter
 
-import numpy as np
-
-from . import graphs, learning, messages, samplers, sequential, variational
 from .errors import NumericError, PgmlabError, ValidationError
-from .factors import eliminate, normalise
 from .modelio import ModelDocument, parse_model, serialise_model
 
 EXIT_VALIDATION = 2
@@ -48,18 +44,21 @@ def _round_sig(x: float, digits: int = 12) -> float:
 
 
 def _jsonable(value):
-    """Convert numpy containers to plain JSON types with 12-digit floats."""
+    """Convert NumPy containers to plain JSON types with 12-digit floats.
+
+    NumPy is never imported here: ``np.float64`` is a ``float``, and every
+    other NumPy array or scalar converts through its ``tolist()``.
+    """
+    if isinstance(value, float):
+        return _round_sig(float(value))
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        return _round_sig(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
+    if value is None or isinstance(value, (str, int)):
+        return value
+    tolist = getattr(value, "tolist", None)
+    return value if tolist is None else _jsonable(tolist())
 
 
 def _parse_names(text: str) -> list[str]:
@@ -91,9 +90,14 @@ def _print_envelope(envelope: dict, as_table: bool) -> None:
 
 
 # -- command implementations: each returns (inputs_echo, outputs, seed) -------
+#
+# Each handler imports the modules it runs, so a command loads no kernel it
+# does not use; the graph commands run without NumPy.
 
 
 def _cmd_graph_dsep(args):
+    from . import graphs
+
     doc = parse_model(args.model)
     dag = doc.require("dag")
     sep = graphs.d_separated(dag, _parse_names(args.x), _parse_names(args.y),
@@ -104,6 +108,8 @@ def _cmd_graph_dsep(args):
 
 
 def _cmd_graph_usep(args):
+    from . import graphs
+
     doc = parse_model(args.model)
     ugm = doc.require("ugm")
     sep = graphs.u_separated(ugm, _parse_names(args.x), _parse_names(args.y),
@@ -120,12 +126,16 @@ def _graph_of(doc: ModelDocument):
 
 
 def _cmd_graph_mb(args):
+    from . import graphs
+
     model = _graph_of(parse_model(args.model))
     blanket = graphs.markov_blanket(model, args.node)
     return {"model": args.model, "node": args.node}, {"blanket": sorted(blanket)}, None
 
 
 def _cmd_graph_moralize(args):
+    from . import graphs
+
     dag = parse_model(args.model).require("dag")
     moral = graphs.moralise(dag)
     return {"model": args.model}, {"nodes": list(moral.nodes),
@@ -133,6 +143,8 @@ def _cmd_graph_moralize(args):
 
 
 def _cmd_graph_iequiv(args):
+    from . import graphs
+
     a = parse_model(args.model).require("dag")
     b = parse_model(args.other).require("dag")
     return ({"model": args.model, "other": args.other},
@@ -140,6 +152,8 @@ def _cmd_graph_iequiv(args):
 
 
 def _cmd_graph_imap(args):
+    from . import graphs
+
     doc = parse_model(args.model)
     model = _graph_of(doc)
     if isinstance(model, graphs.Dag):
@@ -153,6 +167,8 @@ def _cmd_graph_imap(args):
 
 
 def _cmd_fg_marginal(args):
+    from . import messages
+
     doc = parse_model(args.model)
     fg = doc.factor_graph()
     evidence = _parse_evidence(args.evidence)
@@ -167,6 +183,8 @@ def _cmd_fg_marginal(args):
 
 
 def _cmd_fg_map(args):
+    from . import messages
+
     doc = parse_model(args.model)
     fg = doc.factor_graph()
     evidence = _parse_evidence(args.evidence)
@@ -184,6 +202,9 @@ def _cmd_fg_map(args):
 
 
 def _cmd_fg_eliminate(args):
+    from . import messages
+    from .factors import eliminate, normalise
+
     doc = parse_model(args.model)
     fg = doc.factor_graph()
     evidence = _parse_evidence(args.evidence)
@@ -208,6 +229,8 @@ def _cmd_fg_eliminate(args):
 
 
 def _cmd_fg_condition(args):
+    from . import messages
+
     doc = parse_model(args.model)
     fg = doc.factor_graph()
     evidence = _parse_evidence(args.evidence)
@@ -233,6 +256,8 @@ def _floats(text: str) -> list[float]:
 
 
 def _cmd_hmm_filter(args):
+    from . import sequential
+
     hmm = parse_model(args.model).require("hmm")
     obs = _obs_ints(args.obs)
     filtered, log_lik = sequential.alpha_filter(hmm, obs)
@@ -241,6 +266,8 @@ def _cmd_hmm_filter(args):
 
 
 def _cmd_hmm_predict_h(args):
+    from . import sequential
+
     hmm = parse_model(args.model).require("hmm")
     obs = _obs_ints(args.obs)
     probs = sequential.predict_hidden(hmm, obs, args.t)
@@ -248,6 +275,8 @@ def _cmd_hmm_predict_h(args):
 
 
 def _cmd_hmm_predict_v(args):
+    from . import sequential
+
     hmm = parse_model(args.model).require("hmm")
     obs = _obs_ints(args.obs)
     probs = sequential.predict_visible(hmm, obs, args.t)
@@ -255,6 +284,8 @@ def _cmd_hmm_predict_v(args):
 
 
 def _cmd_hmm_smooth(args):
+    from . import sequential
+
     hmm = parse_model(args.model).require("hmm")
     obs = _obs_ints(args.obs)
     smoothed = sequential.smooth(hmm, obs)
@@ -262,6 +293,8 @@ def _cmd_hmm_smooth(args):
 
 
 def _cmd_hmm_viterbi(args):
+    from . import sequential
+
     hmm = parse_model(args.model).require("hmm")
     obs = _obs_ints(args.obs)
     path, score = sequential.viterbi(hmm, obs)
@@ -269,6 +302,8 @@ def _cmd_hmm_viterbi(args):
 
 
 def _cmd_hmm_ffbs(args):
+    from . import samplers, sequential
+
     hmm = parse_model(args.model).require("hmm")
     obs = _obs_ints(args.obs)
     rng = samplers.SeededRng(args.seed)
@@ -278,6 +313,8 @@ def _cmd_hmm_ffbs(args):
 
 
 def _cmd_kalman_filter(args):
+    from . import sequential
+
     model = parse_model(args.model).require("kalman")
     obs = _floats(args.obs)
     steps = sequential.kalman_filter(model, obs)
@@ -286,6 +323,8 @@ def _cmd_kalman_filter(args):
 
 
 def _cmd_fit_cpt_mle(args):
+    from . import learning
+
     dag = parse_model(args.model).require("dag")
     data = learning.BinaryDataset.from_csv(args.data)
     est = learning.fit_cpt_mle(dag, data)
@@ -297,6 +336,8 @@ def _cmd_fit_cpt_mle(args):
 
 
 def _cmd_fit_cpt_bayes(args):
+    from . import learning
+
     dag = parse_model(args.model).require("dag")
     data = learning.BinaryDataset.from_csv(args.data)
     post = learning.fit_cpt_bayes(dag, data, args.alpha0, args.beta0)
@@ -309,6 +350,8 @@ def _cmd_fit_cpt_bayes(args):
 
 
 def _cmd_fit_score_matching(args):
+    from . import learning
+
     _, points = learning._read_csv(args.data, lambda row: float(row[0]))
     grad, curv = learning.gaussian_quadratic_stats()
     theta = learning.score_matching_fit(grad, curv, points)
@@ -317,6 +360,8 @@ def _cmd_fit_score_matching(args):
 
 
 def _cmd_fit_ising2(args):
+    from . import learning
+
     data = learning.load_spin_csv(args.data)
     theta = learning.ising2_mle(data)
     moment = float((data[:, 0] * data[:, 1]).mean())
@@ -326,6 +371,10 @@ def _cmd_fit_ising2(args):
 
 
 def _cmd_sample_mh(args):
+    import numpy as np
+
+    from . import learning, samplers
+
     rng = samplers.SeededRng(args.seed)
     if args.target == "normal":
         dim = args.dim
@@ -353,6 +402,8 @@ def _cmd_sample_mh(args):
 
 
 def _cmd_sample_rejection(args):
+    from . import samplers
+
     rng = samplers.SeededRng(args.seed)
     draws, rate = samplers.rejection_normal_via_laplace(rng, args.samples, args.b)
     outputs = {"acceptance_rate": rate, "mean": float(draws.mean()),
@@ -361,6 +412,8 @@ def _cmd_sample_rejection(args):
 
 
 def _cmd_sample_importance(args):
+    from . import samplers
+
     rng = samplers.SeededRng(args.seed)
     estimate = samplers.gaussian_tail_probability(rng, args.samples, args.threshold)
     return ({"samples": args.samples, "threshold": args.threshold},
@@ -368,6 +421,8 @@ def _cmd_sample_importance(args):
 
 
 def _cmd_sample_gibbs_rbm(args):
+    from . import samplers
+
     model = parse_model(args.model).require("rbm")
     rng = samplers.SeededRng(args.seed)
     visible = samplers.gibbs_rbm(rng, model, args.sweeps)
@@ -380,6 +435,10 @@ def _cmd_sample_gibbs_rbm(args):
 
 
 def _cmd_vi_meanfield(args):
+    import numpy as np
+
+    from . import variational
+
     target = parse_model(args.model).require("meanfield")
     init = variational.MeanFieldState(np.zeros(target.dim), np.ones(target.dim))
     state = variational.mean_field_solve(target, init, tol=args.tol)
@@ -389,6 +448,8 @@ def _cmd_vi_meanfield(args):
 
 
 def _cmd_vi_klfit(args):
+    from . import variational
+
     variances = _floats(args.variances)
     return ({"variances": variances},
             {"lambda2": variational.isotropic_kl_fit(variances)}, None)

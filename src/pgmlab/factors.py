@@ -22,6 +22,9 @@ from .errors import NumericError, ValidationError
 
 Scope = tuple[tuple[str, int], ...]
 
+# Largest table ``eliminate`` may build: 2**24 float64 entries, 128 MiB.
+MAX_TABLE_ENTRIES = 2**24
+
 
 def _validate_scope(scope: Iterable[tuple[str, int]]) -> Scope:
     out = []
@@ -217,7 +220,10 @@ def eliminate(
 
     At each step every factor mentioning the next variable is multiplied
     into one table which is then sum-marginalised; the report records the
-    size of each such table.
+    size of each such table.  Those sizes follow from the scopes alone, so
+    they are worked out first: a run that would build a table of more than
+    ``MAX_TABLE_ENTRIES`` entries raises ``ValidationError`` naming the step
+    and its variable, before any table is built.
     """
     keep = {str(v) for v in keep}
     order = [str(v) for v in order]
@@ -235,17 +241,43 @@ def eliminate(
     if missing:
         raise ValidationError(f"keep variables {sorted(missing)} appear in no factor")
 
+    sizes = _elimination_sizes(factors, order)
     work = list(factors)
-    sizes: list[int] = []
     intermediates: list[DiscreteFactor] = []
     for var in order:
         touching = [f for f in work if var in f.var_names]
         work = [f for f in work if var not in f.var_names]
-        prod = product(touching)
-        sizes.append(prod.values.size)
-        reduced = sum_marginalise(prod, var)
+        reduced = sum_marginalise(product(touching), var)
         intermediates.append(reduced)
         work.append(reduced)
     result = product(work) if work else DiscreteFactor((), [1.0])
     report = EliminationReport(tuple(order), tuple(sizes), tuple(intermediates))
     return result, report
+
+
+def _elimination_sizes(factors: Sequence[DiscreteFactor], order: Sequence[str]) -> list[int]:
+    """Entry count of the product table at each step of ``eliminate``,
+    from the scopes alone; raises if a step or the result is too large."""
+    work = [dict(f.scope) for f in factors]
+    sizes = []
+    for step, var in enumerate(order, 1):
+        union: dict[str, int] = {}
+        for scope in work:
+            if var in scope:
+                union.update(scope)
+        work = [scope for scope in work if var not in scope]
+        size = math.prod(union.values())
+        if size > MAX_TABLE_ENTRIES:
+            raise ValidationError(f"elimination step {step} (variable {var!r}) would build a table of {size} "
+                                  f"entries, over the limit of {MAX_TABLE_ENTRIES}")
+        sizes.append(size)
+        del union[var]
+        work.append(union)
+    result: dict[str, int] = {}
+    for scope in work:
+        result.update(scope)
+    size = math.prod(result.values())
+    if size > MAX_TABLE_ENTRIES:
+        raise ValidationError(f"the result over {sorted(result)} would have {size} entries, "
+                              f"over the limit of {MAX_TABLE_ENTRIES}")
+    return sizes

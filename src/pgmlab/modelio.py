@@ -5,20 +5,28 @@ A document is a JSON object with optional sections.  ``variables`` +
 first scope variable varying fastest); ``dag``, ``ugm``, ``hmm``,
 ``kalman``, ``rbm``, and ``meanfield`` describe the other model kinds.
 Each CLI command requires exactly the section(s) it operates on.
+
+Parsing validates every section present.  The ``dag`` and ``ugm``
+constructors come from the pure-Python ``graphs`` module; every other
+constructor, and with it NumPy, is imported only when the document has its
+section, so a graph-only document is parsed without NumPy.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .factors import DiscreteFactor
 from .graphs import Dag, Ugm
-from .messages import FactorGraph
-from .samplers import RbmModel
-from .sequential import DiscreteHmm, Gaussian1, KalmanModel
-from .variational import GaussianTarget
+
+if TYPE_CHECKING:
+    from .factors import DiscreteFactor
+    from .messages import FactorGraph
+    from .samplers import RbmModel
+    from .sequential import DiscreteHmm, KalmanModel
+    from .variational import GaussianTarget
 
 
 @dataclass
@@ -33,6 +41,8 @@ class ModelDocument:
     meanfield: GaussianTarget | None = None
 
     def factor_graph(self) -> FactorGraph:
+        from .messages import FactorGraph
+
         if not self.variables:
             raise ValidationError("document has no 'variables' section")
         if not self.factors:
@@ -94,7 +104,10 @@ def parse_model_dict(doc: dict) -> ModelDocument:
     if len(declared) != len(out.variables):
         raise ValidationError("duplicate variable names")
 
-    for entry in _entries(doc, "factors"):
+    factors = _entries(doc, "factors")
+    if factors:
+        from .factors import DiscreteFactor
+    for entry in factors:
         name = str(_expect(entry, "name", "factors"))
         scope_names = [str(v) for v in _expect(entry, "scope", f"factor {name!r}")]
         for v in scope_names:
@@ -128,6 +141,8 @@ def parse_model_dict(doc: dict) -> ModelDocument:
     if "hmm" in doc:
         out.hmm = _parse_hmm(doc["hmm"])
     if "kalman" in doc:
+        from .sequential import Gaussian1, KalmanModel
+
         section = doc["kalman"]
         prior = _expect(section, "prior", "kalman")
         out.kalman = KalmanModel(
@@ -138,6 +153,8 @@ def parse_model_dict(doc: dict) -> ModelDocument:
             Gaussian1(_number(prior, "mean", "kalman.prior"), _number(prior, "var", "kalman.prior")),
         )
     if "rbm" in doc:
+        from .samplers import RbmModel
+
         section = doc["rbm"]
         out.rbm = RbmModel(
             _expect(section, "W", "rbm"),
@@ -145,6 +162,8 @@ def parse_model_dict(doc: dict) -> ModelDocument:
             _expect(section, "b", "rbm"),
         )
     if "meanfield" in doc:
+        from .variational import GaussianTarget
+
         section = doc["meanfield"]
         out.meanfield = GaussianTarget(
             _expect(section, "precision", "meanfield"),
@@ -176,6 +195,8 @@ def _nesting(x) -> int:
 def _parse_hmm(section: dict) -> DiscreteHmm:
     """Accepts shared (2-D) or per-step (3-D) transition/emission matrices;
     the fully shared form additionally needs a 'steps' count."""
+    from .sequential import DiscreteHmm
+
     prior = _expect(section, "prior", "hmm")
     transitions = _expect(section, "transitions", "hmm")
     emissions = _expect(section, "emissions", "hmm")

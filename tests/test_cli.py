@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -448,12 +449,97 @@ def test_stochastic_commands_require_seed(write_model):
         assert cli.main(argv) == 4, argv
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this pgmlab."""
     src = str(Path(pgmlab.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
     probe = "import sys, pgmlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    assert _python(probe).strip() == "[]"
+
+
+_GRAPH_UGM = {"ugm": {"nodes": ["x1", "x2", "x3"], "edges": [["x1", "x2"], ["x2", "x3"]]}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "dsep", "--model", "dag", "--x", "a", "--y", "z", "--given", "e"],
+    ["graph", "usep", "--model", "ugm", "--x", "x1", "--y", "x3", "--given", "x2"],
+    ["graph", "mb", "--model", "dag", "--node", "z"],
+    ["graph", "moralize", "--model", "dag"],
+    ["graph", "iequiv", "--model", "dag", "--other", "dag"],
+    ["graph", "imap", "--model", "ugm", "--order", "x3,x2,x1"],
+])
+def test_graph_commands_run_without_numpy(write_model, argv):
+    paths = {"dag": write_model("dag.model", FIVE_NODE), "ugm": write_model("ugm.model", _GRAPH_UGM)}
+    argv = [paths.get(a, a) for a in argv]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from pgmlab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(json.loads(sys.argv[1]))\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    assert _python(probe, json.dumps(argv)).split() == ["0", "False"]
+
+
+def test_package_import_loads_no_submodule():
+    probe = "import sys, pgmlab; print(sorted(m for m in sys.modules if m.startswith(('pgmlab.', 'numpy'))))"
+    assert _python(probe).strip() == "[]"
+
+
+def test_lazy_exports_are_the_submodule_objects():
+    probe = (
+        "import importlib, pgmlab\n"
+        "for name in pgmlab.__all__:\n"
+        "    home = importlib.import_module(f'pgmlab.{pgmlab._HOME[name]}')\n"
+        "    assert getattr(pgmlab, name) is getattr(home, name), name\n"
+        "namespace = {}\n"
+        "exec('from pgmlab import *', namespace)\n"
+        "assert sorted(set(namespace) - {'__builtins__'}) == pgmlab.__all__\n"
+        "assert pgmlab.learning is importlib.import_module('pgmlab.learning')\n"
+        "print(len(pgmlab.__all__))\n"
+    )
+    assert _python(probe).strip() == "70"
+
+
+def test_dir_lists_the_lazy_exports():
+    probe = "import pgmlab; missing = set(pgmlab.__all__) - set(dir(pgmlab)); print(sorted(missing))"
+    assert _python(probe).strip() == "[]"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    probe = (
+        "import pgmlab\n"
+        "try:\n"
+        "    pgmlab.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _python(probe).strip() == "module 'pgmlab' has no attribute 'no_such_name'"
+
+
+def test_eliminate_star_rejected_before_allocating(tmp_path):
+    # Eliminating the hub of a 28-leaf binary star first needs a 2**29-entry
+    # table (4 GiB).  Under a 1.5 GB address-space limit an allocation would
+    # fail with a traceback; the pre-flight check exits 2 first.
+    leaves = [f"l{i}" for i in range(28)]
+    star = {"variables": [{"name": v, "card": 2} for v in ["h", *leaves]],
+            "factors": [{"name": f"f{v}", "scope": ["h", v], "values": [1, 2, 3, 4]} for v in leaves]}
+    model = tmp_path / "star.model"
+    model.write_text(json.dumps(star))
+    src = str(Path(pgmlab.__file__).resolve().parents[1])
+    limit = 1_500_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgmlab.cli", "fg", "eliminate", "--model", str(model), "--keep", "l0",
+         "--order", ",".join(["h", *leaves[1:]])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("validation error: elimination step 1 (variable 'h') would build a table of "
+                           "536870912 entries, over the limit of 16777216\n")
 
 
 @pytest.mark.parametrize("doc, argv, field", [

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from pgmlab import factors as factors_module
 from pgmlab.errors import NumericError, ValidationError
 from pgmlab.factors import (
     DiscreteFactor,
@@ -20,7 +21,9 @@ from pgmlab.factors import (
     sum_marginalise,
 )
 
-from conftest import loop_factors
+from pgmlab.messages import FactorGraph
+
+from conftest import factor_graph_joint, loop_factors
 
 
 def random_factor(rng, scope):
@@ -252,6 +255,50 @@ class TestEliminate:
                 expected = sum_marginalise(expected, v)
             assert_allclose(result.values, expected.values, rtol=1e-9)
             assert report.peak_table_entries == max(report.step_sizes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), cards=st.lists(st.integers(1, 3), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+    def test_random_orders_match_brute_force(self, data, cards, seed):
+        names = [f"v{i}" for i in range(len(cards))]
+        variables = list(zip(names, cards))
+        scopes = data.draw(st.lists(st.lists(st.sampled_from(variables), min_size=1, max_size=3, unique=True),
+                                    min_size=1, max_size=4))
+        mentioned = {v for scope in scopes for v in scope}
+        scopes += [[v] for v in variables if v not in mentioned]  # every variable in some factor
+        rng = np.random.default_rng(seed)
+        fg = FactorGraph(variables, {f"f{k}": random_factor(rng, scope) for k, scope in enumerate(scopes)})
+        keep = data.draw(st.lists(st.sampled_from(names), max_size=len(names), unique=True))
+        order = data.draw(st.permutations([v for v in names if v not in keep]))
+
+        result, report = eliminate(list(fg.factors.values()), keep, order)
+
+        joint = factor_graph_joint(fg)
+        summed = joint.ndarray().sum(axis=tuple(joint.var_names.index(v) for v in order))
+        kept = [v for v in joint.var_names if v not in order]
+        assert set(result.var_names) == set(kept)
+        for states in itertools.product(*(range(fg.card(v)) for v in kept)):
+            assignment = dict(zip(kept, states))
+            assert math.isclose(result.value_at(assignment), float(summed[states]), rel_tol=1e-9)
+        # The pre-computed step sizes are those of the tables actually built.
+        assert report.step_sizes == tuple(f.values.size * fg.card(v) for f, v in zip(report.intermediates, order))
+
+    def test_step_over_the_cap_rejected_before_any_table(self, monkeypatch):
+        monkeypatch.setattr(factors_module, "MAX_TABLE_ENTRIES", 2**6)
+        leaves = [f"l{i}" for i in range(8)]
+        star = [DiscreteFactor([("h", 2), (leaf, 2)], [1, 2, 3, 4]) for leaf in leaves]
+        with pytest.raises(ValidationError, match=r"^elimination step 1 \(variable 'h'\) would build a table "
+                                                  r"of 512 entries, over the limit of 64$"):
+            eliminate(star, {"l0"}, ["h", *leaves[1:]])
+        # Leaves first keeps every table at 4 entries, and the cap is inclusive.
+        monkeypatch.setattr(factors_module, "MAX_TABLE_ENTRIES", 4)
+        _, report = eliminate(star, {"l0"}, [*leaves[1:], "h"])
+        assert report.step_sizes == (4,) * 8
+
+    def test_result_over_the_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(factors_module, "MAX_TABLE_ENTRIES", 2**6)
+        chain = [DiscreteFactor([(f"x{i}", 2), (f"x{i + 1}", 2)], [1, 2, 3, 4]) for i in range(7)]
+        with pytest.raises(ValidationError, match="the result over .* would have 256 entries"):
+            eliminate(chain, {f"x{i}" for i in range(8)}, [])
 
     def test_validation(self, conditioned):
         with pytest.raises(ValidationError):

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pgmlab.errors import ImpossibleEvidenceError, ValidationError
@@ -309,6 +311,59 @@ class TestFfbs:
             [0, 2, 1, 2, 1, 2, 0, 2, 1, 2],
             [0, 2, 1, 0, 1, 2, 0, 2, 1, 2],
         ]
+
+
+@st.composite
+def hmm_and_observations(draw):
+    """A random HMM with at most 3 states, 5 steps and 3 symbols, and a full
+    observation sequence for it."""
+    n_states, n_steps, n_symbols = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    hmm = random_hmm(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n_states, n_steps, n_symbols)
+    obs = draw(st.lists(st.integers(0, n_symbols - 1), min_size=n_steps, max_size=n_steps))
+    return hmm, obs
+
+
+def _state_marginal(table: dict, t: int, n_states: int) -> np.ndarray:
+    """p(h_t | evidence) from an enumerated joint table over hidden paths."""
+    mass = np.zeros(n_states)
+    for path, p in table.items():
+        mass[path[t]] += p
+    return mass / mass.sum()
+
+
+class TestAgainstEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(case=hmm_and_observations(), data=st.data())
+    def test_alpha_filter(self, case, data):
+        hmm, obs = case
+        prefix = obs[:data.draw(st.integers(1, len(obs)))]
+        filtered, log_lik = alpha_filter(hmm, prefix)
+        assert len(filtered) == len(prefix)
+        for t in range(len(prefix)):
+            expected = _state_marginal(hmm_joint_table(hmm, prefix[:t + 1]), t, hmm.n_states)
+            assert_allclose(filtered[t], expected, rtol=1e-9, atol=1e-12)
+        assert math.isclose(log_lik, math.log(sum(hmm_joint_table(hmm, prefix).values())), rel_tol=1e-9,
+                            abs_tol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hmm_and_observations())
+    def test_smooth(self, case):
+        hmm, obs = case
+        table = hmm_joint_table(hmm, obs)
+        smoothed = smooth(hmm, obs)
+        assert len(smoothed) == len(obs)
+        for t, probs in enumerate(smoothed):
+            assert_allclose(probs, _state_marginal(table, t, hmm.n_states), rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hmm_and_observations())
+    def test_viterbi_attains_the_maximum(self, case):
+        hmm, obs = case
+        table = hmm_joint_table(hmm, obs)
+        best = max(table.values())
+        path, log_score = viterbi(hmm, obs)
+        assert math.isclose(table[tuple(path)], best, rel_tol=1e-9)
+        assert math.isclose(log_score, math.log(best), rel_tol=1e-9, abs_tol=1e-12)
 
 
 class TestGaussianAlgebra:
