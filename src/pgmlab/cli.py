@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from collections import Counter
+from typing import Callable, NamedTuple
 
 from .errors import NumericError, PgmlabError, ValidationError
 from .modelio import ModelDocument, parse_model, serialise_model
@@ -89,88 +90,57 @@ def _print_envelope(envelope: dict, as_table: bool) -> None:
         print(f"{key}: {value}")
 
 
-# -- command implementations: each returns (inputs_echo, outputs, seed) -------
+# -- command implementations ---------------------------------------------------
 #
-# Each handler imports the modules it runs, so a command loads no kernel it
-# does not use; the graph commands run without NumPy.
+# A handler takes the parsed arguments and the model its table row asks for
+# (None for a command without ``--model``) and returns (inputs_echo, outputs);
+# ``run`` adds the model path to the echo and the seed to the envelope.  Each
+# handler imports the modules it runs, so a command loads no kernel it does
+# not use; the graph commands run without NumPy.
 
 
-def _cmd_graph_dsep(args):
+def _cmd_graph_separated(args, model):
     from . import graphs
 
-    doc = parse_model(args.model)
-    dag = doc.require("dag")
-    sep = graphs.d_separated(dag, _parse_names(args.x), _parse_names(args.y),
-                             _parse_names(args.given) if args.given else ())
-    echo = {"model": args.model, "x": _parse_names(args.x), "y": _parse_names(args.y),
-            "given": _parse_names(args.given) if args.given else []}
-    return echo, {"separated": sep}, None
+    x, y, given = _parse_names(args.x), _parse_names(args.y), _parse_names(args.given)
+    separated = graphs.d_separated if isinstance(model, graphs.Dag) else graphs.u_separated
+    return {"x": x, "y": y, "given": given}, {"separated": separated(model, x, y, given)}
 
 
-def _cmd_graph_usep(args):
+def _cmd_graph_mb(args, model):
     from . import graphs
 
-    doc = parse_model(args.model)
-    ugm = doc.require("ugm")
-    sep = graphs.u_separated(ugm, _parse_names(args.x), _parse_names(args.y),
-                             _parse_names(args.given) if args.given else ())
-    echo = {"model": args.model, "x": _parse_names(args.x), "y": _parse_names(args.y),
-            "given": _parse_names(args.given) if args.given else []}
-    return echo, {"separated": sep}, None
-
-
-def _graph_of(doc: ModelDocument):
-    if (doc.dag is None) == (doc.ugm is None):
-        raise ValidationError("exactly one of 'dag' or 'ugm' must be present")
-    return doc.dag if doc.dag is not None else doc.ugm
-
-
-def _cmd_graph_mb(args):
-    from . import graphs
-
-    model = _graph_of(parse_model(args.model))
     blanket = graphs.markov_blanket(model, args.node)
-    return {"model": args.model, "node": args.node}, {"blanket": sorted(blanket)}, None
+    return {"node": args.node}, {"blanket": sorted(blanket)}
 
 
-def _cmd_graph_moralize(args):
+def _cmd_graph_moralize(args, dag):
     from . import graphs
 
-    dag = parse_model(args.model).require("dag")
     moral = graphs.moralise(dag)
-    return {"model": args.model}, {"nodes": list(moral.nodes),
-                                   "edges": [list(e) for e in sorted(moral.edges())]}, None
+    return {}, {"nodes": list(moral.nodes), "edges": [list(e) for e in sorted(moral.edges())]}
 
 
-def _cmd_graph_iequiv(args):
+def _cmd_graph_iequiv(args, dag):
     from . import graphs
 
-    a = parse_model(args.model).require("dag")
-    b = parse_model(args.other).require("dag")
-    return ({"model": args.model, "other": args.other},
-            {"equivalent": graphs.i_equivalent(a, b)}, None)
+    other = _load_model(args.other, "dag")
+    return {"other": args.other}, {"equivalent": graphs.i_equivalent(dag, other)}
 
 
-def _cmd_graph_imap(args):
+def _cmd_graph_imap(args, model):
     from . import graphs
 
-    doc = parse_model(args.model)
-    model = _graph_of(doc)
-    if isinstance(model, graphs.Dag):
-        oracle = graphs.oracle_from_dag(model)
-    else:
-        oracle = graphs.oracle_from_ugm(model)
+    oracle = graphs.oracle_from_dag if isinstance(model, graphs.Dag) else graphs.oracle_from_ugm
     order = _parse_names(args.order)
-    imap = graphs.minimal_directed_imap(oracle, model.nodes, order)
+    imap = graphs.minimal_directed_imap(oracle(model), model.nodes, order)
     parents = {n: sorted(imap.parents[n]) for n in imap.nodes if imap.parents[n]}
-    return {"model": args.model, "order": order}, {"parents": parents}, None
+    return {"order": order}, {"parents": parents}
 
 
-def _cmd_fg_marginal(args):
+def _cmd_fg_marginal(args, fg):
     from . import messages
 
-    doc = parse_model(args.model)
-    fg = doc.factor_graph()
     evidence = _parse_evidence(args.evidence)
     if evidence:
         marginals = messages.conditioned_sum_product(fg, evidence)
@@ -178,15 +148,12 @@ def _cmd_fg_marginal(args):
         marginals = messages.sum_product(fg).marginals
     if args.var not in marginals:
         raise ValidationError(f"no marginal for {args.var!r} (observed or unknown)")
-    echo = {"model": args.model, "var": args.var, "evidence": evidence}
-    return echo, {args.var: marginals[args.var]}, None
+    return {"var": args.var, "evidence": evidence}, {args.var: marginals[args.var]}
 
 
-def _cmd_fg_map(args):
+def _cmd_fg_map(args, fg):
     from . import messages
 
-    doc = parse_model(args.model)
-    fg = doc.factor_graph()
     evidence = _parse_evidence(args.evidence)
     offset = 0.0
     if evidence:
@@ -197,16 +164,14 @@ def _cmd_fg_map(args):
     else:
         result = messages.max_sum_map(fg, root)
         assignment, log_score = result.assignment, result.log_score
-    echo = {"model": args.model, "evidence": evidence, "root": root}
-    return echo, {"assignment": assignment, "log_score": log_score + offset}, None
+    echo = {"evidence": evidence, "root": root}
+    return echo, {"assignment": assignment, "log_score": log_score + offset}
 
 
-def _cmd_fg_eliminate(args):
+def _cmd_fg_eliminate(args, fg):
     from . import messages
     from .factors import eliminate, normalise
 
-    doc = parse_model(args.model)
-    fg = doc.factor_graph()
     evidence = _parse_evidence(args.evidence)
     if evidence:
         fg, _ = messages.condition_factor_graph(fg, evidence)
@@ -224,21 +189,17 @@ def _cmd_fg_eliminate(args):
         outputs[keep[0]] = normalised.values
     else:
         outputs["normalised"] = normalised.values
-    echo = {"model": args.model, "keep": keep, "order": order, "evidence": evidence}
-    return echo, outputs, None
+    return {"keep": keep, "order": order, "evidence": evidence}, outputs
 
 
-def _cmd_fg_condition(args):
+def _cmd_fg_condition(args, fg):
     from . import messages
 
-    doc = parse_model(args.model)
-    fg = doc.factor_graph()
     evidence = _parse_evidence(args.evidence)
     reduced, offset = messages.condition_factor_graph(fg, evidence)
     reduced_doc = ModelDocument(variables=list(reduced.variables),
                                 factors=dict(reduced.factors))
-    echo = {"model": args.model, "evidence": evidence}
-    return echo, {"model": serialise_model(reduced_doc), "log_offset": offset}, None
+    return {"evidence": evidence}, {"model": serialise_model(reduced_doc), "log_offset": offset}
 
 
 def _obs_ints(text: str) -> list[int]:
@@ -255,131 +216,107 @@ def _floats(text: str) -> list[float]:
         raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _cmd_hmm_filter(args):
+def _cmd_hmm_filter(args, hmm):
     from . import sequential
 
-    hmm = parse_model(args.model).require("hmm")
     obs = _obs_ints(args.obs)
     filtered, log_lik = sequential.alpha_filter(hmm, obs)
-    return ({"model": args.model, "obs": obs},
-            {"filtered": [f for f in filtered], "log_likelihood": log_lik}, None)
+    return {"obs": obs}, {"filtered": [f for f in filtered], "log_likelihood": log_lik}
 
 
-def _cmd_hmm_predict_h(args):
+def _cmd_hmm_predict(args, hmm):
     from . import sequential
 
-    hmm = parse_model(args.model).require("hmm")
     obs = _obs_ints(args.obs)
-    probs = sequential.predict_hidden(hmm, obs, args.t)
-    return {"model": args.model, "obs": obs, "t": args.t}, {"probs": probs}, None
+    predict = sequential.predict_hidden if args.command == "predict-h" else sequential.predict_visible
+    return {"obs": obs, "t": args.t}, {"probs": predict(hmm, obs, args.t)}
 
 
-def _cmd_hmm_predict_v(args):
+def _cmd_hmm_smooth(args, hmm):
     from . import sequential
 
-    hmm = parse_model(args.model).require("hmm")
     obs = _obs_ints(args.obs)
-    probs = sequential.predict_visible(hmm, obs, args.t)
-    return {"model": args.model, "obs": obs, "t": args.t}, {"probs": probs}, None
+    return {"obs": obs}, {"smoothed": [s for s in sequential.smooth(hmm, obs)]}
 
 
-def _cmd_hmm_smooth(args):
+def _cmd_hmm_viterbi(args, hmm):
     from . import sequential
 
-    hmm = parse_model(args.model).require("hmm")
-    obs = _obs_ints(args.obs)
-    smoothed = sequential.smooth(hmm, obs)
-    return {"model": args.model, "obs": obs}, {"smoothed": [s for s in smoothed]}, None
-
-
-def _cmd_hmm_viterbi(args):
-    from . import sequential
-
-    hmm = parse_model(args.model).require("hmm")
     obs = _obs_ints(args.obs)
     path, score = sequential.viterbi(hmm, obs)
-    return {"model": args.model, "obs": obs}, {"path": path, "log_score": score}, None
+    return {"obs": obs}, {"path": path, "log_score": score}
 
 
-def _cmd_hmm_ffbs(args):
+def _cmd_hmm_ffbs(args, hmm):
     from . import samplers, sequential
 
-    hmm = parse_model(args.model).require("hmm")
     obs = _obs_ints(args.obs)
     rng = samplers.SeededRng(args.seed)
     paths = sequential.ffbs_paths(hmm, obs, rng, args.paths)
-    return ({"model": args.model, "obs": obs, "paths": args.paths},
-            {"paths": paths}, args.seed)
+    return {"obs": obs, "paths": args.paths}, {"paths": paths}
 
 
-def _cmd_kalman_filter(args):
+def _cmd_kalman_filter(args, model):
     from . import sequential
 
-    model = parse_model(args.model).require("kalman")
     obs = _floats(args.obs)
     steps = sequential.kalman_filter(model, obs)
-    return ({"model": args.model, "obs": obs},
-            {"steps": [{"mean": s.mean, "var": s.var, "gain": s.gain} for s in steps]}, None)
+    return {"obs": obs}, {"steps": [{"mean": s.mean, "var": s.var, "gain": s.gain} for s in steps]}
 
 
-def _cmd_fit_cpt_mle(args):
+def _cmd_fit_cpt_mle(args, dag):
     from . import learning
 
-    dag = parse_model(args.model).require("dag")
     data = learning.BinaryDataset.from_csv(args.data)
     est = learning.fit_cpt_mle(dag, data)
     table = {
         node: [{"theta": c.theta, "ones": c.ones, "zeros": c.zeros} for c in cells]
         for node, cells in est.cells.items()
     }
-    return {"model": args.model, "data": args.data}, {"cpt": table}, None
+    return {"data": args.data}, {"cpt": table}
 
 
-def _cmd_fit_cpt_bayes(args):
+def _cmd_fit_cpt_bayes(args, dag):
     from . import learning
 
-    dag = parse_model(args.model).require("dag")
     data = learning.BinaryDataset.from_csv(args.data)
     post = learning.fit_cpt_bayes(dag, data, args.alpha0, args.beta0)
     table = {
         node: [{"alpha": p.alpha, "beta": p.beta, "predictive": p.mean} for p in cells]
         for node, cells in post.cells.items()
     }
-    echo = {"model": args.model, "data": args.data, "alpha0": args.alpha0, "beta0": args.beta0}
-    return echo, {"posterior": table}, None
+    return {"data": args.data, "alpha0": args.alpha0, "beta0": args.beta0}, {"posterior": table}
 
 
-def _cmd_fit_score_matching(args):
+def _cmd_fit_score_matching(args, _):
     from . import learning
 
     _, points = learning._read_csv(args.data, lambda row: float(row[0]))
     grad, curv = learning.gaussian_quadratic_stats()
     theta = learning.score_matching_fit(grad, curv, points)
     return ({"data": args.data, "family": "zero-mean Gaussian, statistic x^2"},
-            {"theta": float(theta[0]), "variance": float(-0.5 / theta[0])}, None)
+            {"theta": float(theta[0]), "variance": float(-0.5 / theta[0])})
 
 
-def _cmd_fit_ising2(args):
+def _cmd_fit_ising2(args, _):
     from . import learning
 
     data = learning.load_spin_csv(args.data)
     theta = learning.ising2_mle(data)
     moment = float((data[:, 0] * data[:, 1]).mean())
     return ({"data": args.data},
-            {"theta": theta, "empirical_moment": moment,
-             "log_partition": learning.ising2_logZ(theta)}, None)
+            {"theta": theta, "empirical_moment": moment, "log_partition": learning.ising2_logZ(theta)})
 
 
-def _cmd_sample_mh(args):
+def _cmd_sample_mh(args, _):
     import numpy as np
 
     from . import learning, samplers
 
     rng = samplers.SeededRng(args.seed)
     if args.target == "normal":
-        dim = args.dim
         log_p = lambda th: -0.5 * float(th @ th)
-        init = np.zeros(dim)
+        init = np.zeros(args.dim)
     else:  # poisson regression on (x, y) CSV columns
         if not args.data:
             raise ValidationError("--data is required for the poisson target")
@@ -398,181 +335,157 @@ def _cmd_sample_mh(args):
     }
     echo = {"target": args.target, "samples": args.samples, "vari": args.vari,
             "warmup": args.warmup, "data": args.data}
-    return echo, outputs, args.seed
+    return echo, outputs
 
 
-def _cmd_sample_rejection(args):
+def _cmd_sample_rejection(args, _):
     from . import samplers
 
     rng = samplers.SeededRng(args.seed)
     draws, rate = samplers.rejection_normal_via_laplace(rng, args.samples, args.b)
     outputs = {"acceptance_rate": rate, "mean": float(draws.mean()),
                "variance": float(draws.var())}
-    return {"samples": args.samples, "b": args.b}, outputs, args.seed
+    return {"samples": args.samples, "b": args.b}, outputs
 
 
-def _cmd_sample_importance(args):
+def _cmd_sample_importance(args, _):
     from . import samplers
 
     rng = samplers.SeededRng(args.seed)
     estimate = samplers.gaussian_tail_probability(rng, args.samples, args.threshold)
-    return ({"samples": args.samples, "threshold": args.threshold},
-            {"estimate": estimate}, args.seed)
+    return {"samples": args.samples, "threshold": args.threshold}, {"estimate": estimate}
 
 
-def _cmd_sample_gibbs_rbm(args):
+def _cmd_sample_gibbs_rbm(args, rbm):
     from . import samplers
 
-    model = parse_model(args.model).require("rbm")
     rng = samplers.SeededRng(args.seed)
-    visible = samplers.gibbs_rbm(rng, model, args.sweeps)
+    visible = samplers.gibbs_rbm(rng, rbm, args.sweeps)
     counts = Counter("".join(map(str, row)) for row in visible.tolist())
     outputs = {
         "mean_visible": visible.mean(axis=0),
         "counts": dict(sorted(counts.items())),
     }
-    return {"model": args.model, "sweeps": args.sweeps}, outputs, args.seed
+    return {"sweeps": args.sweeps}, outputs
 
 
-def _cmd_vi_meanfield(args):
+def _cmd_vi_meanfield(args, target):
     import numpy as np
 
     from . import variational
 
-    target = parse_model(args.model).require("meanfield")
     init = variational.MeanFieldState(np.zeros(target.dim), np.ones(target.dim))
     state = variational.mean_field_solve(target, init, tol=args.tol)
     outputs = {"means": state.means, "variances": state.variances,
                "elbo": variational.elbo(target, state)}
-    return {"model": args.model, "tol": args.tol}, outputs, None
+    return {"tol": args.tol}, outputs
 
 
-def _cmd_vi_klfit(args):
+def _cmd_vi_klfit(args, _):
     from . import variational
 
     variances = _floats(args.variances)
-    return ({"variances": variances},
-            {"lambda2": variational.isotropic_kl_fit(variances)}, None)
+    return {"variances": variances}, {"lambda2": variational.isotropic_kl_fit(variances)}
 
 
-# -- parser wiring -------------------------------------------------------------
+# -- the command table ---------------------------------------------------------
+
+
+class Command(NamedTuple):
+    """One CLI command.
+
+    ``section`` names what ``--model`` must hold: a document section, or
+    ``factors`` for the factor graph, or ``graph`` for exactly one of
+    ``dag`` and ``ugm``; None means the command takes no ``--model``.
+    ``options`` maps each further flag to its spec (see ``_add_option``),
+    in the order the parser lists them.
+    """
+
+    group: str
+    name: str
+    handler: Callable
+    section: str | None
+    options: dict = {}
+    seeded: bool = False
+
+
+COMMANDS = (
+    Command("graph", "dsep", _cmd_graph_separated, "dag", {"--x": str, "--y": str, "--given": ""}),
+    Command("graph", "usep", _cmd_graph_separated, "ugm", {"--x": str, "--y": str, "--given": ""}),
+    Command("graph", "mb", _cmd_graph_mb, "graph", {"--node": str}),
+    Command("graph", "moralize", _cmd_graph_moralize, "dag"),
+    Command("graph", "iequiv", _cmd_graph_iequiv, "dag", {"--other": str}),
+    Command("graph", "imap", _cmd_graph_imap, "graph", {"--order": str}),
+    Command("fg", "marginal", _cmd_fg_marginal, "factors", {"--var": str, "--evidence": ""}),
+    Command("fg", "map", _cmd_fg_map, "factors", {"--evidence": "", "--root": ""}),
+    Command("fg", "eliminate", _cmd_fg_eliminate, "factors",
+            {"--keep": str, "--order": "", "--evidence": ""}),
+    Command("fg", "condition", _cmd_fg_condition, "factors", {"--evidence": str}),
+    Command("hmm", "filter", _cmd_hmm_filter, "hmm", {"--obs": str}),
+    Command("hmm", "smooth", _cmd_hmm_smooth, "hmm", {"--obs": str}),
+    Command("hmm", "viterbi", _cmd_hmm_viterbi, "hmm", {"--obs": str}),
+    Command("hmm", "predict-h", _cmd_hmm_predict, "hmm", {"--obs": str, "--t": int}),
+    Command("hmm", "predict-v", _cmd_hmm_predict, "hmm", {"--obs": str, "--t": int}),
+    Command("hmm", "ffbs", _cmd_hmm_ffbs, "hmm", {"--obs": str, "--paths": 1}, seeded=True),
+    Command("kalman", "filter", _cmd_kalman_filter, "kalman", {"--obs": str}),
+    Command("fit", "cpt-mle", _cmd_fit_cpt_mle, "dag", {"--data": str}),
+    Command("fit", "cpt-bayes", _cmd_fit_cpt_bayes, "dag",
+            {"--data": str, "--alpha0": 1.0, "--beta0": 1.0}),
+    Command("fit", "score-matching", _cmd_fit_score_matching, None, {"--data": str}),
+    Command("fit", "ising2", _cmd_fit_ising2, None, {"--data": str}),
+    Command("sample", "mh", _cmd_sample_mh, None,
+            {"--target": ["normal", "poisson"], "--data": "", "--dim": 2, "--samples": 5000,
+             "--vari": 1.0, "--warmup": 0, "--out-csv": "", "--out-json": ""}, seeded=True),
+    Command("sample", "rejection", _cmd_sample_rejection, None,
+            {"--samples": 10000, "--b": 1.0}, seeded=True),
+    Command("sample", "importance", _cmd_sample_importance, None,
+            {"--samples": 100000, "--threshold": 5.0}, seeded=True),
+    Command("sample", "gibbs-rbm", _cmd_sample_gibbs_rbm, "rbm", {"--sweeps": 1000}, seeded=True),
+    Command("vi", "meanfield", _cmd_vi_meanfield, "meanfield", {"--tol": 1e-12}),
+    Command("vi", "klfit", _cmd_vi_klfit, None, {"--variances": str}),
+)
+
+
+def _add_option(parser: argparse.ArgumentParser, flag: str, spec) -> None:
+    """A type (``str``, ``int``) makes a required option of that type; a list
+    gives the choices, the first being the default; any other value is the
+    default, and its type is the option's type."""
+    if isinstance(spec, type):
+        parser.add_argument(flag, type=spec, required=True)
+    elif isinstance(spec, list):
+        parser.add_argument(flag, choices=spec, default=spec[0])
+    else:
+        parser.add_argument(flag, type=type(spec), default=spec)
+
+
+def _load_model(path, section: str):
+    """What a command reads from the document at ``path``; see ``Command``."""
+    doc = parse_model(path)
+    if section == "factors":
+        return doc.factor_graph()
+    if section == "graph":
+        if (doc.dag is None) == (doc.ugm is None):
+            raise ValidationError("exactly one of 'dag' or 'ugm' must be present")
+        return doc.dag if doc.dag is not None else doc.ugm
+    return doc.require(section)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pgmlab", description=__doc__)
     parser.add_argument("--table", action="store_true", help="plain-text output instead of JSON")
     top = parser.add_subparsers(dest="group", required=True)
-
-    def cmd(group_parser, name, func, seeded=False):
-        sub = group_parser.add_parser(name)
-        sub.set_defaults(func=func)
-        if seeded:
-            sub.add_argument("--seed", type=int, required=True)
-        return sub
-
-    graph = top.add_parser("graph").add_subparsers(dest="command", required=True)
-    p = cmd(graph, "dsep", _cmd_graph_dsep)
-    p.add_argument("--model", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--given", default="")
-    p = cmd(graph, "usep", _cmd_graph_usep)
-    p.add_argument("--model", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--given", default="")
-    p = cmd(graph, "mb", _cmd_graph_mb)
-    p.add_argument("--model", required=True)
-    p.add_argument("--node", required=True)
-    p = cmd(graph, "moralize", _cmd_graph_moralize)
-    p.add_argument("--model", required=True)
-    p = cmd(graph, "iequiv", _cmd_graph_iequiv)
-    p.add_argument("--model", required=True)
-    p.add_argument("--other", required=True)
-    p = cmd(graph, "imap", _cmd_graph_imap)
-    p.add_argument("--model", required=True)
-    p.add_argument("--order", required=True)
-
-    fg = top.add_parser("fg").add_subparsers(dest="command", required=True)
-    p = cmd(fg, "marginal", _cmd_fg_marginal)
-    p.add_argument("--model", required=True)
-    p.add_argument("--var", required=True)
-    p.add_argument("--evidence", default="")
-    p = cmd(fg, "map", _cmd_fg_map)
-    p.add_argument("--model", required=True)
-    p.add_argument("--evidence", default="")
-    p.add_argument("--root", default="")
-    p = cmd(fg, "eliminate", _cmd_fg_eliminate)
-    p.add_argument("--model", required=True)
-    p.add_argument("--keep", required=True)
-    p.add_argument("--order", default="")
-    p.add_argument("--evidence", default="")
-    p = cmd(fg, "condition", _cmd_fg_condition)
-    p.add_argument("--model", required=True)
-    p.add_argument("--evidence", required=True)
-
-    hmm = top.add_parser("hmm").add_subparsers(dest="command", required=True)
-    for name, func in [("filter", _cmd_hmm_filter), ("smooth", _cmd_hmm_smooth),
-                       ("viterbi", _cmd_hmm_viterbi)]:
-        p = cmd(hmm, name, func)
-        p.add_argument("--model", required=True)
-        p.add_argument("--obs", required=True)
-    for name, func in [("predict-h", _cmd_hmm_predict_h), ("predict-v", _cmd_hmm_predict_v)]:
-        p = cmd(hmm, name, func)
-        p.add_argument("--model", required=True)
-        p.add_argument("--obs", required=True)
-        p.add_argument("--t", type=int, required=True)
-    p = cmd(hmm, "ffbs", _cmd_hmm_ffbs, seeded=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--obs", required=True)
-    p.add_argument("--paths", type=int, default=1)
-
-    kalman = top.add_parser("kalman").add_subparsers(dest="command", required=True)
-    p = cmd(kalman, "filter", _cmd_kalman_filter)
-    p.add_argument("--model", required=True)
-    p.add_argument("--obs", required=True)
-
-    fit = top.add_parser("fit").add_subparsers(dest="command", required=True)
-    p = cmd(fit, "cpt-mle", _cmd_fit_cpt_mle)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p = cmd(fit, "cpt-bayes", _cmd_fit_cpt_bayes)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--alpha0", type=float, default=1.0)
-    p.add_argument("--beta0", type=float, default=1.0)
-    p = cmd(fit, "score-matching", _cmd_fit_score_matching)
-    p.add_argument("--data", required=True)
-    p = cmd(fit, "ising2", _cmd_fit_ising2)
-    p.add_argument("--data", required=True)
-
-    sample = top.add_parser("sample").add_subparsers(dest="command", required=True)
-    p = cmd(sample, "mh", _cmd_sample_mh, seeded=True)
-    p.add_argument("--target", choices=["normal", "poisson"], default="normal")
-    p.add_argument("--data", default="")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--samples", type=int, default=5000)
-    p.add_argument("--vari", type=float, default=1.0)
-    p.add_argument("--warmup", type=int, default=0)
-    p.add_argument("--out-csv", default="")
-    p.add_argument("--out-json", default="")
-    p = cmd(sample, "rejection", _cmd_sample_rejection, seeded=True)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--b", type=float, default=1.0)
-    p = cmd(sample, "importance", _cmd_sample_importance, seeded=True)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--threshold", type=float, default=5.0)
-    p = cmd(sample, "gibbs-rbm", _cmd_sample_gibbs_rbm, seeded=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--sweeps", type=int, default=1000)
-
-    vi = top.add_parser("vi").add_subparsers(dest="command", required=True)
-    p = cmd(vi, "meanfield", _cmd_vi_meanfield)
-    p.add_argument("--model", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p = cmd(vi, "klfit", _cmd_vi_klfit)
-    p.add_argument("--variances", required=True)
-
+    groups = {}
+    for spec in COMMANDS:
+        if spec.group not in groups:
+            groups[spec.group] = top.add_parser(spec.group).add_subparsers(dest="command", required=True)
+        sub = groups[spec.group].add_parser(spec.name)
+        sub.set_defaults(spec=spec)
+        if spec.seeded:
+            _add_option(sub, "--seed", int)
+        if spec.section is not None:
+            _add_option(sub, "--model", str)
+        for flag, option in spec.options.items():
+            _add_option(sub, flag, option)
     return parser
 
 
@@ -580,14 +493,17 @@ def run(argv) -> dict:
     """Parse arguments, execute the command, and return the envelope."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    spec = args.spec
     start = time.perf_counter()
-    echo, outputs, seed = args.func(args)
+    echo, outputs = spec.handler(args, spec.section and _load_model(args.model, spec.section))
+    if spec.section:
+        echo = {"model": args.model, **echo}
     elapsed = time.perf_counter() - start
     envelope = {
         "command": f"{args.group} {args.command}",
         "inputs": _jsonable(echo),
         "outputs": _jsonable(outputs),
-        "seed": seed,
+        "seed": args.seed if spec.seeded else None,
         "elapsed_seconds": elapsed,
     }
     return envelope

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError, SingularMatrixError, ValidationError
 from .graphs import Dag
-from .numerics import matrix_sqrt_psd
+from .numerics import matrix_sqrt_psd, psd_eigendecomposition
 from .sequential import Gaussian1, gaussian_product
 
 T = TypeVar("T")
@@ -63,9 +63,14 @@ def _read_csv(path, parse_row: Callable[[list[str]], T]) -> tuple[list[str], lis
 
     Every row must have as many fields as the header, and ``parse_row``
     raises ValueError or IndexError on a row it cannot read; either fault
-    becomes a :class:`ValidationError` naming ``path:line``.
+    becomes a :class:`ValidationError` naming ``path:line``, as does a file
+    that cannot be opened (naming ``path``).
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -193,6 +198,8 @@ def fit_cpt_mle(dag: Dag, data: BinaryDataset) -> CptEstimate:
 def fit_cpt_bayes(dag: Dag, data: BinaryDataset, alpha0: float, beta0: float) -> CptPosterior:
     """Posterior Beta(alpha0 + n1, beta0 + n0) per cell under independent
     Beta priors shared across all cells."""
+    if not (math.isfinite(alpha0) and math.isfinite(beta0)):
+        raise ValidationError("hyperparameters must be finite")
     if alpha0 <= 0 or beta0 <= 0:
         raise ValidationError("hyperparameters must be positive")
     counts = _cell_counts(dag, data)
@@ -381,7 +388,7 @@ def fa_marginal(F: np.ndarray, C: np.ndarray, psi_diag: np.ndarray, c: np.ndarra
         raise ValidationError("psi and c must match the visible dimension")
     if np.any(psi < 0):
         raise ValidationError("psi must be non-negative")
-    _check_psd(C)
+    psd_eigendecomposition(C)  # validates C
     return c, F @ C @ F.T + np.diag(psi)
 
 
@@ -394,10 +401,3 @@ def fa_standardise(F: np.ndarray, C: np.ndarray) -> np.ndarray:
         raise ValidationError("shape mismatch between F and C")
     return F @ matrix_sqrt_psd(C)
 
-
-def _check_psd(C: np.ndarray, tol: float = 1e-9) -> None:
-    if not np.allclose(C, C.T, atol=1e-9, rtol=0.0):
-        raise ValidationError("matrix must be symmetric")
-    eigvals = np.linalg.eigvalsh(C)
-    if eigvals.min() < -tol:
-        raise ValidationError("matrix must be positive semi-definite")

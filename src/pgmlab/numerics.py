@@ -106,11 +106,18 @@ def sym_eigendecomposition(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vecs * np.sign(vecs[lead, np.arange(len(lead))]), eigvals
 
 
-def matrix_sqrt_psd(c: np.ndarray) -> np.ndarray:
-    """Symmetric square root M with M M = C for symmetric PSD C."""
+def psd_eigendecomposition(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sym_eigendecomposition` of a symmetric positive semi-definite
+    matrix; an eigenvalue below -1e-9 is a validation error."""
     vecs, vals = sym_eigendecomposition(c)
     if vals.min() < -1e-9:
         raise ValidationError("matrix is not positive semi-definite")
+    return vecs, vals
+
+
+def matrix_sqrt_psd(c: np.ndarray) -> np.ndarray:
+    """Symmetric square root M with M M = C for symmetric PSD C."""
+    vecs, vals = psd_eigendecomposition(c)
     vals = np.clip(vals, 0.0, None)
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 

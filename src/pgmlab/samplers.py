@@ -175,6 +175,8 @@ def gaussian_tail_weights(rng: SeededRng, n: int, threshold: float = 5.0) -> np.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    if not math.isfinite(threshold):
+        raise ValidationError("threshold must be finite")
     x = threshold + sample_exponential(rng, 1.0, size=n)
     return np.exp(-0.5 * x * x + x - threshold) / math.sqrt(2.0 * math.pi)
 
@@ -263,6 +265,8 @@ def mh(
     if warmup < 0:
         raise ValidationError("warmup must be >= 0")
     current = np.asarray(init, dtype=float).reshape(-1)
+    if current.size == 0:
+        raise ValidationError("init must not be empty")
     current_log = float(log_p_star(current))
     if not math.isfinite(current_log):
         raise NumericError("log p* is not finite at the initial state")
@@ -445,13 +449,20 @@ def ess(samples: Sequence[float]) -> float:
     return s / (1.0 + 2.0 * rho_sum)
 
 
+def _open_for_writing(path, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def export_trace(trace: Trace, csv_path, json_path, param_names: Sequence[str]) -> None:
     """Write the trace as a CSV of samples plus a JSON sidecar with the
     seed, warm-up length, acceptance rate, and per-dimension ESS."""
     names = [str(n) for n in param_names]
     if len(names) != trace.samples.shape[1]:
         raise ValidationError("param_names must match the sample dimension")
-    with open(csv_path, "w", newline="") as fh:
+    with _open_for_writing(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         writer.writerows(trace.samples.tolist())
@@ -461,6 +472,6 @@ def export_trace(trace: Trace, csv_path, json_path, param_names: Sequence[str]) 
         "acceptance_rate": trace.acceptance_rate,
         "ess": {name: ess(trace.samples[:, j]) for j, name in enumerate(names)},
     }
-    with open(json_path, "w") as fh:
+    with _open_for_writing(json_path) as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")

@@ -274,6 +274,8 @@ def ffbs_paths(hmm: DiscreteHmm, observations: Sequence[int], rng, n_paths: int)
 
     Returns an integer array of shape (n_paths, n_steps).
     """
+    if n_paths < 1:
+        raise ValidationError("n_paths must be >= 1")
     obs = _check_observations(hmm, observations)
     n = len(obs)
     if n != hmm.n_steps:

@@ -601,3 +601,106 @@ def test_in_process_closed_pipe_returns_1(write_model, monkeypatch, capsys):
     assert cli.main(["fg", "map", "--model", path]) == 1
     monkeypatch.undo()
     assert capsys.readouterr().err == ""
+
+
+# Example argument lists for every command in ``cli.COMMANDS``.  A token
+# "@name" stands for a file under the test's directory: the files in
+# _EXAMPLE_FILES are written first, any other "@name" is a path left absent.
+_EXAMPLE_FILES = {
+    "@dag": FIVE_NODE, "@ugm": _GRAPH_UGM, "@tree": TREE_MODEL, "@hmm": HMM_MODEL,
+    "@kalman": KALMAN_MODEL, "@rbm": RBM_MODEL, "@meanfield": MEANFIELD_MODEL,
+    "@cdag": {"dag": {"nodes": ["a", "s", "c"], "parents": {"c": ["a", "s"]}}},
+    "@cases": "a,s,c\n0,1,1\n0,0,0\n1,0,1\n0,0,0\n0,1,0\n",
+    "@spins": "x1,x2\n-1,-1\n-1,1\n1,-1\n",
+    "@values": "x\n1.0\n-1.0\n0.5\n",
+    "@xy": "x,y\n0.1,1\n0.5,2\n1.0,3\n-0.5,0\n",
+}
+
+_EXAMPLES = {
+    ("graph", "dsep"): ["--model", "@dag", "--x", "a", "--y", "h", "--given", "e"],
+    ("graph", "usep"): ["--model", "@ugm", "--x", "x1", "--y", "x3", "--given", "x2"],
+    ("graph", "mb"): ["--model", "@dag", "--node", "z"],
+    ("graph", "moralize"): ["--model", "@dag"],
+    ("graph", "iequiv"): ["--model", "@dag", "--other", "@dag"],
+    ("graph", "imap"): ["--model", "@ugm", "--order", "x3,x2,x1"],
+    ("fg", "marginal"): ["--model", "@tree", "--var", "x1", "--evidence", "x2=1"],
+    ("fg", "map"): ["--model", "@tree"],
+    ("fg", "eliminate"): ["--model", "@tree", "--keep", "x2", "--evidence", "x1=0"],
+    ("fg", "condition"): ["--model", "@tree", "--evidence", "x2=1"],
+    ("hmm", "filter"): ["--model", "@hmm", "--obs", "1,0,1"],
+    ("hmm", "smooth"): ["--model", "@hmm", "--obs", "1,0,1"],
+    ("hmm", "viterbi"): ["--model", "@hmm", "--obs", "1,0,1"],
+    ("hmm", "predict-h"): ["--model", "@hmm", "--obs", "1", "--t", "2"],
+    ("hmm", "predict-v"): ["--model", "@hmm", "--obs", "1", "--t", "3"],
+    ("hmm", "ffbs"): ["--model", "@hmm", "--obs", "1,0,1", "--paths", "2"],
+    ("kalman", "filter"): ["--model", "@kalman", "--obs", "0.5,1.2"],
+    ("fit", "cpt-mle"): ["--model", "@cdag", "--data", "@cases"],
+    ("fit", "cpt-bayes"): ["--model", "@cdag", "--data", "@cases", "--alpha0", "2"],
+    ("fit", "score-matching"): ["--data", "@values"],
+    ("fit", "ising2"): ["--data", "@spins"],
+    ("sample", "mh"): ["--target", "poisson", "--data", "@xy", "--samples", "200"],
+    ("sample", "rejection"): ["--samples", "200"],
+    ("sample", "importance"): ["--samples", "1000"],
+    ("sample", "gibbs-rbm"): ["--model", "@rbm", "--sweeps", "50"],
+    ("vi", "meanfield"): ["--model", "@meanfield"],
+    ("vi", "klfit"): ["--variances", "1.0,4.0"],
+}
+
+
+def _resolve(argv, tmp_path):
+    out = []
+    for arg in argv:
+        if arg.startswith("@"):
+            path = tmp_path / arg[1:]
+            content = _EXAMPLE_FILES.get(arg)
+            if content is not None:
+                path.write_text(content if isinstance(content, str) else json.dumps(content))
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+@pytest.mark.parametrize("spec", cli.COMMANDS, ids=lambda spec: f"{spec.group}-{spec.name}")
+def test_every_command_envelope_matches_schema(spec, tmp_path, schema):
+    argv = [spec.group, spec.name, *_EXAMPLES[spec.group, spec.name]]
+    env = cli.run(_resolve(argv + (["--seed", "9"] if spec.seeded else []), tmp_path))
+    jsonschema.validate(env, schema)
+    assert env["command"] == f"{spec.group} {spec.name}"
+    assert env["seed"] == (9 if spec.seeded else None)
+    assert (list(env["inputs"])[0] == "model") == (spec.section is not None)
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["fit", "cpt-mle", "--model", "@cdag", "--data", "@absent.csv"], "absent.csv"),
+    (["fit", "cpt-bayes", "--model", "@cdag", "--data", "@absent.csv"], "absent.csv"),
+    (["fit", "score-matching", "--data", "@absent.csv"], "absent.csv"),
+    (["fit", "ising2", "--data", "@absent.csv"], "absent.csv"),
+    (["sample", "mh", "--target", "poisson", "--data", "@absent.csv", "--seed", "1"], "absent.csv"),
+    (["sample", "mh", "--samples", "50", "--seed", "1", "--out-csv", "@absent/trace.csv",
+      "--out-json", "@trace.json"], "absent/trace.csv"),
+    (["sample", "mh", "--samples", "50", "--seed", "1", "--out-csv", "@trace.csv",
+      "--out-json", "@absent/trace.json"], "absent/trace.json"),
+])
+def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, argv, path):
+    assert cli.main(_resolve(argv, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: cannot ") and str(tmp_path / path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "cpt-bayes", "--model", "@cdag", "--data", "@cases", "--alpha0", "nan"], "finite"),
+    (["fit", "cpt-bayes", "--model", "@cdag", "--data", "@cases", "--alpha0", "inf"], "finite"),
+    (["fit", "cpt-bayes", "--model", "@cdag", "--data", "@cases", "--beta0", "nan"], "finite"),
+    (["fit", "cpt-bayes", "--model", "@cdag", "--data", "@cases", "--beta0", "inf"], "finite"),
+    (["sample", "importance", "--seed", "1", "--threshold", "nan"], "finite"),
+    (["sample", "importance", "--seed", "1", "--threshold", "inf"], "finite"),
+    (["hmm", "ffbs", "--model", "@hmm", "--obs", "1,0,1", "--paths", "-1", "--seed", "1"], "n_paths"),
+    (["hmm", "ffbs", "--model", "@hmm", "--obs", "1,0,1", "--paths", "0", "--seed", "1"], "n_paths"),
+    (["sample", "mh", "--dim", "0", "--seed", "1"], "init"),
+])
+def test_non_finite_or_degenerate_option_exits_2(tmp_path, capsys, argv, message):
+    assert cli.main(_resolve(argv, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and message in err
+    assert "Traceback" not in err

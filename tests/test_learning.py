@@ -334,6 +334,17 @@ class TestFactorAnalysis:
             fa_marginal(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
                         np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("eigenvalue, accepted", [(-1e-10, True), (-1e-8, False)])
+    def test_marginal_and_standardise_share_the_psd_tolerance(self, eigenvalue, accepted):
+        C = np.diag([1.0, eigenvalue])
+        for call in (lambda: fa_marginal(np.eye(2), C, np.zeros(2), np.zeros(2)),
+                     lambda: fa_standardise(np.eye(2), C)):
+            if accepted:
+                call()
+            else:
+                with pytest.raises(ValidationError, match="positive semi-definite"):
+                    call()
+
     @pytest.mark.parametrize("C", [[[1.0, 0.5], [0.0, 1.0]],   # asymmetric
                                    [[1.0, 2.0], [2.0, 1.0]]])  # indefinite
     def test_standardise_rejects_bad_latent_covariance(self, C):
