@@ -32,6 +32,8 @@ class SeededRng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, size=None):
@@ -82,6 +84,24 @@ def laplace_logpdf(x, b: float):
 # -- rejection sampling ---------------------------------------------------------
 
 
+#: Proposals ``rejection_normal_via_laplace`` draws in one call; caps the
+#: block's memory whatever the number of samples.
+_REJECTION_BLOCK = 8192
+
+
+def _check_log_acceptance(x, log_acc) -> None:
+    """Raise unless the acceptance probability exp(log_acc) at proposal x is
+    finite and at most one, to within 1e-9 in the log."""
+    if math.isnan(log_acc) or log_acc == math.inf:
+        raise NumericError(f"non-finite acceptance probability at x={x}")
+    if log_acc > 1e-9:
+        try:
+            acceptance = math.exp(log_acc)
+        except OverflowError:
+            acceptance = math.inf
+        raise NumericError(f"envelope bound violated at x={x}: acceptance {acceptance}")
+
+
 def rejection_sample(
     rng: SeededRng,
     log_p_star: Callable[[float], float],
@@ -108,10 +128,7 @@ def rejection_sample(
         x = propose(rng)
         proposals += 1
         log_acc = log_p_star(x) - log_q(x) - log_m
-        if math.isnan(log_acc) or log_acc == math.inf:
-            raise NumericError(f"non-finite acceptance probability at x={x}")
-        if log_acc > 1e-9:
-            raise NumericError(f"envelope bound violated at x={x}: acceptance {math.exp(log_acc)}")
+        _check_log_acceptance(x, log_acc)
         u = float(rng.uniform())
         if u > 0 and math.log(u) < log_acc:
             accepted.append(x)
@@ -123,22 +140,64 @@ def laplace_normal_bound(b: float) -> float:
     2b exp(1/(2 b^2)) / sqrt(2 pi)."""
     if b <= 0:
         raise ValidationError("b must be positive")
-    return 2.0 * b / math.sqrt(2.0 * math.pi) * math.exp(1.0 / (2.0 * b * b))
+    if not math.isfinite(b):
+        raise ValidationError("b must be finite")
+    try:
+        return 2.0 * b / math.sqrt(2.0 * math.pi) * math.exp(1.0 / (2.0 * b * b))
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(f"b={b} is too small: the envelope bound overflows") from None
+
+
+def _log_below(u: np.ndarray, log_acc: np.ndarray) -> np.ndarray:
+    """Elementwise ``u > 0 and math.log(u) < log_acc``, the accept test of
+    ``rejection_sample``.
+
+    ``np.log`` may round differently from ``math.log`` in the last bit, so
+    the rare entries whose ``np.log`` lies within 1e-12 (relative) of a tie
+    are decided again with ``math.log``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 gives log -inf
+        log_u = np.log(u)
+        near = np.flatnonzero(np.abs(log_u - log_acc) <= 1e-12 * np.abs(log_u))
+    below = (u > 0) & (log_u < log_acc)
+    for i in near:
+        below[i] = u[i] > 0 and math.log(u[i]) < log_acc[i]
+    return below
 
 
 def rejection_normal_via_laplace(rng: SeededRng, n: int, b: float = 1.0) -> tuple[np.ndarray, float]:
     """Standard-normal sampler with a Laplace(b) proposal; b = 1 maximises
-    the acceptance probability at sqrt(pi / (2 e)) ~ 0.76."""
+    the acceptance probability at sqrt(pi / (2 e)) ~ 0.76.
+
+    This is ``rejection_sample`` with these two densities, evaluated over
+    arrays instead of one draw at a time.  Each proposal takes two uniforms,
+    the first for the Laplace draw and the second for the accept test.
+    While k samples are still wanted, k proposals (at most
+    ``_REJECTION_BLOCK``) are drawn as one (k, 2) block, which PCG64 fills
+    in the order of one draw per proposal.  At least k more proposals are
+    needed, so none is drawn past the n-th acceptance: the samples, the
+    rate and the generator's state after the call all equal those of one
+    draw per proposal.  Only after a numeric error has the generator moved
+    further.
+    """
+    log_m = math.log(laplace_normal_bound(b))
+    if n < 1:
+        raise ValidationError("n must be >= 1")
     scale = math.sqrt(2.0) * b  # unit-variance draw scaled to variance 2 b^2
-    propose = lambda r: float(sample_laplace_unit(r)) * scale
-    return rejection_sample(
-        rng,
-        standard_normal_logpdf,
-        propose,
-        lambda x: laplace_logpdf(x, b),
-        laplace_normal_bound(b),
-        n,
-    )
+    blocks = []
+    wanted = n
+    proposals = 0
+    while wanted > 0:
+        u = rng.uniform(size=(min(wanted, _REJECTION_BLOCK), 2))
+        x = laplace_unit_ppf(u[:, 0]) * scale
+        log_acc = standard_normal_logpdf(x) - laplace_logpdf(x, b) - log_m
+        bad = np.flatnonzero(~(log_acc <= 1e-9))
+        if bad.size:
+            _check_log_acceptance(float(x[bad[0]]), float(log_acc[bad[0]]))
+        blocks.append(x[_log_below(u[:, 1], log_acc)])
+        wanted -= blocks[-1].size
+        proposals += len(u)
+    return np.concatenate(blocks), n / proposals
 
 
 # -- importance sampling ---------------------------------------------------------
@@ -262,6 +321,8 @@ def mh(
         raise ValidationError("num_samples must be >= 1")
     if vari <= 0:
         raise ValidationError("vari must be positive")
+    if not math.isfinite(vari):
+        raise ValidationError(f"vari must be finite, got {vari}")
     if warmup < 0:
         raise ValidationError("warmup must be >= 0")
     current = np.asarray(init, dtype=float).reshape(-1)
@@ -272,21 +333,28 @@ def mh(
         raise NumericError("log p* is not finite at the initial state")
     step = math.sqrt(vari)
     dim = current.size
-    kept = np.empty((num_samples, dim))
+    # The generator's own methods: random() returns the same double as
+    # uniform(0.0, 1.0) from the same draw, at a third of the call cost.
+    normal = rng._gen.standard_normal
+    uniform = rng._gen.random
+    chain = []
+    keep = chain.append
     accepted = 0
     total = num_samples + warmup
-    for i in range(total):
-        proposal = current + step * rng.normal(size=dim)
+    for _ in range(total):
+        proposal = normal(dim)  # current + step * z, without the temporaries
+        proposal *= step
+        proposal += current
         proposal_log = float(log_p_star(proposal))
         log_ratio = proposal_log - current_log
-        u = float(rng.uniform())
+        u = uniform()
         if log_ratio >= 0 or (u > 0 and math.log(u) < log_ratio):
             current = proposal
             current_log = proposal_log
             accepted += 1
-        if i >= warmup:
-            kept[i - warmup] = current
-    return Trace(kept, warmup, accepted, total, rng.seed)
+        keep(current)
+    samples = np.concatenate(chain[warmup:]).reshape(num_samples, dim)
+    return Trace(samples, warmup, accepted, total, rng.seed)
 
 
 def poisson_regression_log_pstar(

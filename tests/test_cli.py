@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pgmlab
-from pgmlab import cli
+from pgmlab import cli, samplers
 from pgmlab.errors import ValidationError
 from pgmlab.modelio import parse_model, parse_model_dict, serialise_model
 
@@ -319,6 +319,18 @@ class TestSampleAndViCommands:
                        "--out-json", str(out_json)])
         assert out_csv.exists() and out_json.exists()
         assert len(env["outputs"]["mean"]) == 2
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_mh_normal_target_is_the_library_chain(self, tmp_path, dim):
+        # The exported trace holds every sample exactly (repr round trip).
+        out_csv = tmp_path / "trace.csv"
+        cli.run(["sample", "mh", "--samples", "400", "--dim", str(dim), "--vari", "0.7",
+                 "--warmup", "30", "--seed", "8", "--out-csv", str(out_csv),
+                 "--out-json", str(tmp_path / "trace.json")])
+        trace = samplers.mh(samplers.SeededRng(8), lambda th: -0.5 * float(th @ th),
+                            [0.0] * dim, 400, 0.7, 30)
+        rows = out_csv.read_text().splitlines()[1:]
+        assert [[float(v) for v in row.split(",")] for row in rows] == trace.samples.tolist()
 
     def test_vi_meanfield(self, write_model):
         env = cli.run(["vi", "meanfield", "--model", write_model("m.model", MEANFIELD_MODEL)])
@@ -698,9 +710,25 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, argv, path):
     (["hmm", "ffbs", "--model", "@hmm", "--obs", "1,0,1", "--paths", "-1", "--seed", "1"], "n_paths"),
     (["hmm", "ffbs", "--model", "@hmm", "--obs", "1,0,1", "--paths", "0", "--seed", "1"], "n_paths"),
     (["sample", "mh", "--dim", "0", "--seed", "1"], "init"),
+    (["sample", "mh", "--vari", "nan", "--seed", "1"], "vari must be finite"),
+    (["sample", "mh", "--vari", "inf", "--seed", "1"], "vari must be finite"),
+    (["sample", "rejection", "--b", "nan", "--seed", "1"], "b must be finite"),
+    (["sample", "rejection", "--b", "inf", "--seed", "1"], "b must be finite"),
+    (["sample", "rejection", "--b", "0.01", "--seed", "1"], "too small"),
+    (["sample", "rejection", "--b", "1e-300", "--seed", "1"], "too small"),
 ])
 def test_non_finite_or_degenerate_option_exits_2(tmp_path, capsys, argv, message):
     assert cli.main(_resolve(argv, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [spec for spec in cli.COMMANDS if spec.seeded],
+                         ids=lambda spec: f"{spec.group}-{spec.name}")
+def test_negative_seed_exits_2(spec, tmp_path, capsys):
+    argv = [spec.group, spec.name, *_EXAMPLES[spec.group, spec.name], "--seed", "-1"]
+    assert cli.main(_resolve(argv, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: seed must be a non-negative integer, got -1")
     assert "Traceback" not in err

@@ -25,6 +25,7 @@ from pgmlab.samplers import (
     gaussian_tail_weights,
     gibbs_rbm,
     importance_expectation,
+    laplace_logpdf,
     laplace_normal_bound,
     laplace_unit_ppf,
     mh,
@@ -93,6 +94,87 @@ class TestRejection:
         with pytest.raises(NumericError):
             rejection_sample(rng, standard_normal_logpdf, lambda r: float(r.normal()),
                              standard_normal_logpdf, 0.5, 50)
+
+    def test_bound_violation_beyond_float_range_reported(self):
+        with pytest.raises(NumericError, match="acceptance inf"):
+            rejection_sample(SeededRng(10), lambda x: 0.0, lambda r: float(r.normal()),
+                             lambda x: -800.0, 1.0, 1)
+
+    @pytest.mark.parametrize("seed, b, n", [
+        (40, 1.0, 1), (41, 1.0, 300), (42, 0.3, 50), (43, 0.5, 7), (44, 2.0, 200), (45, 7.5, 30),
+    ])
+    def test_preset_matches_per_draw_sampler(self, seed, b, n):
+        # The per-draw callback sampler with the preset's densities is the
+        # reference: same samples, rate and generator state after the call.
+        scale = math.sqrt(2.0) * b
+        ref_rng, rng = SeededRng(seed), SeededRng(seed)
+        ref, ref_rate = rejection_sample(
+            ref_rng, standard_normal_logpdf, lambda r: float(sample_laplace_unit(r)) * scale,
+            lambda x: laplace_logpdf(x, b), laplace_normal_bound(b), n)
+        draws, rate = rejection_normal_via_laplace(rng, n, b)
+        assert draws.tobytes() == ref.tobytes() and rate == ref_rate
+        assert float(rng.uniform()) == float(ref_rng.uniform())
+
+    # Recorded from the sampler that drew one proposal at a time: hash of the
+    # draws, the rate, then the next uniform.  n = 10,000 and 8,193 take more
+    # proposals than one block holds.
+    @pytest.mark.parametrize("seed, b, n, digest, rate, next_u", [
+        (0, 1.0, 1, "1460c042e0a8117d", 1.0, 0.04097352393619469),
+        (1, 1.0, 2, "7bf587f70dc9b42f", 0.6666666666666666, 0.8277025938204418),
+        (2, 1.0, 999, "17534f840e335f26", 0.7672811059907834, 0.6719401300525977),
+        (3, 0.5, 1, "209540ff9704fa6f", 1.0, 0.8012744652063969),
+        (4, 0.5, 2, "48d001a22e6bedbb", 1.0, 0.6073558319950296),
+        (5, 0.5, 999, "b8ac450584499bdd", 0.35176056338028167, 0.6325726722463691),
+        (6, 2.0, 1, "74db99566700a198", 1.0, 0.36906723979537825),
+        (7, 2.0, 2, "c102a80e05112fbe", 1.0, 0.30016628491122543),
+        (8, 2.0, 999, "d1d6cf9de22a72ec", 0.5754608294930875, 0.8369885862683816),
+        (9, 1.0, 10_000, "6a64e5dd18c084fb", 0.7623694442326752, 0.6611221795788715),
+        (10, 2.0, 8_193, "4d2128eec62a79a3", 0.5592109753600437, 0.12209971897239136),
+    ])
+    def test_rejection_stream_is_pinned(self, seed, b, n, digest, rate, next_u):
+        assert samplers._REJECTION_BLOCK == 8192
+        rng = SeededRng(seed)
+        draws, got_rate = rejection_normal_via_laplace(rng, n, b)
+        assert draws.shape == (n,)
+        assert hashlib.sha256(draws.tobytes()).hexdigest()[:16] == digest
+        assert got_rate == rate
+        assert float(rng.uniform()) == next_u
+
+    # Messages recorded from the sampler that drew one proposal at a time.
+    @pytest.mark.parametrize("seed, message", [
+        (30, "envelope bound violated at x=-0.7516291789809069: acceptance 1.9392535833577067"),
+        (31, "envelope bound violated at x=1.6416699369757068: acceptance 1.627877512211911"),
+    ])
+    def test_bound_violation_names_first_bad_proposal(self, monkeypatch, seed, message):
+        bound = samplers.laplace_normal_bound
+        monkeypatch.setattr(samplers, "laplace_normal_bound", lambda b: bound(b) / 2)
+        with pytest.raises(NumericError) as info:
+            rejection_normal_via_laplace(SeededRng(seed), 1000)
+        assert str(info.value) == message
+
+    def test_non_finite_acceptance_names_first_bad_proposal(self, monkeypatch):
+        logpdf = samplers.standard_normal_logpdf
+        monkeypatch.setattr(samplers, "standard_normal_logpdf",
+                            lambda x: np.where(np.abs(x) > 2.0, np.nan, logpdf(x)))
+        with pytest.raises(NumericError) as info:
+            rejection_normal_via_laplace(SeededRng(32), 1000)
+        assert str(info.value) == "non-finite acceptance probability at x=2.7129696648995116"
+
+    def test_array_accept_test_matches_scalar_at_ties(self):
+        u = np.append(SeededRng(33).uniform(size=2000), [0.0, 0.5, 1.0 - 2.0**-53])
+        logs = np.array([math.log(v) if v > 0 else -math.inf for v in u])
+        for log_acc in (logs, np.nextafter(logs, math.inf), np.nextafter(logs, -math.inf)):
+            expected = [v > 0 and math.log(v) < a for v, a in zip(u, log_acc)]
+            assert samplers._log_below(u, log_acc).tolist() == expected
+
+    @pytest.mark.parametrize("b, message", [
+        (math.nan, "b must be finite"), (math.inf, "b must be finite"),
+        (-math.inf, "b must be positive"), (0.0, "b must be positive"),
+        (0.01, "too small"), (1e-300, "too small"),
+    ])
+    def test_bound_rejects_bad_scale(self, b, message):
+        with pytest.raises(ValidationError, match=message):
+            laplace_normal_bound(b)
 
 
 class TestImportance:
@@ -220,6 +302,33 @@ class TestMetropolisHastings:
     def test_non_finite_init_rejected(self):
         with pytest.raises(NumericError):
             mh(SeededRng(21), lambda th: math.nan, [0.0], 10)
+
+    @pytest.mark.parametrize("vari, message", [
+        (math.nan, "vari must be finite, got nan"), (math.inf, "vari must be finite, got inf"),
+        (-math.inf, "vari must be positive"), (0.0, "vari must be positive"),
+    ])
+    def test_bad_vari_named(self, vari, message):
+        with pytest.raises(ValidationError, match=message):
+            mh(SeededRng(21), lambda th: 0.0, [0.0], 10, vari)
+
+    # Recorded from the loop that called SeededRng.normal and .uniform once per
+    # step: hash of the retained samples, accepted moves, then the next uniform.
+    @pytest.mark.parametrize("seed, target, dim, n, vari, warmup, digest, accepted, next_u", [
+        (11, "normal", 1, 500, 2.5, 100, "e42ec0ced7d3f466", 350, 0.2083634644645207),
+        (12, "normal", 3, 400, 0.3, 50, "1db7aba51dca2c84", 310, 0.14906094072342235),
+        (13, "normal", 2, 300, 1.0, 0, "8ff4e4c73b6abc37", 167, 0.5806977675283964),
+        (14, "poisson", 2, 300, 0.5, 20, "4ab6780ca3c15fe1", 163, 0.9718253048050164),
+    ])
+    def test_mh_stream_is_pinned(self, seed, target, dim, n, vari, warmup, digest,
+                                 accepted, next_u):
+        log_p = (poisson_regression_log_pstar(POISSON_DEMO_DATA) if target == "poisson"
+                 else lambda th: -0.5 * float(th @ th))
+        rng = SeededRng(seed)
+        trace = mh(rng, log_p, np.zeros(dim), n, vari, warmup)
+        assert trace.samples.shape == (n, dim) and trace.samples.dtype == float
+        assert hashlib.sha256(trace.samples.tobytes()).hexdigest()[:16] == digest
+        assert (trace.accepted, trace.proposals) == (accepted, n + warmup)
+        assert float(rng.uniform()) == next_u
 
 
 class TestPoissonRegression:
