@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .numerics import finite_array
 
 Scope = tuple[tuple[str, int], ...]
 
@@ -50,15 +51,10 @@ class DiscreteFactor:
 
     def __init__(self, scope: Iterable[tuple[str, int]], values):
         scope = _validate_scope(scope)
-        try:
-            arr = np.asarray(values, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
-            raise ValidationError("factor values must be numbers") from None
+        arr = finite_array(values, "factor values").reshape(-1)
         size = math.prod(c for _, c in scope)
         if arr.size != size:
             raise ValidationError(f"expected {size} values for scope {scope}, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("factor values must be finite")
         if np.any(arr < 0):
             raise ValidationError("factor values must be non-negative")
         arr = arr.copy()
@@ -75,12 +71,6 @@ class DiscreteFactor:
     @property
     def cards(self) -> tuple[int, ...]:
         return tuple(card for _, card in self.scope)
-
-    def card_of(self, var: str) -> int:
-        for name, card in self.scope:
-            if name == var:
-                return card
-        raise ValidationError(f"{var!r} not in scope")
 
     def ndarray(self) -> np.ndarray:
         """Multi-dimensional view; axis k indexes the k-th scope variable."""
@@ -121,16 +111,20 @@ def product(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
     shape = tuple(card for _, card in union)
     position = {name: i for i, (name, _) in enumerate(union)}
     result = np.ones(shape)
-    for f in factors:
-        axes = [position[name] for name in f.var_names]
-        # Reorder the factor axes by union position, then broadcast with
-        # size-1 axes for the variables it does not mention.
-        perm = sorted(range(len(axes)), key=axes.__getitem__)
-        nd = np.transpose(f.ndarray(), perm)
-        view_shape = [1] * len(union)
-        for ax, size in zip(sorted(axes), nd.shape):
-            view_shape[ax] = size
-        result = result * nd.reshape(view_shape)
+    try:
+        with np.errstate(over="raise"):
+            for f in factors:
+                axes = [position[name] for name in f.var_names]
+                # Reorder the factor axes by union position, then broadcast
+                # with size-1 axes for the variables it does not mention.
+                perm = sorted(range(len(axes)), key=axes.__getitem__)
+                nd = np.transpose(f.ndarray(), perm)
+                view_shape = [1] * len(union)
+                for ax, size in zip(sorted(axes), nd.shape):
+                    view_shape[ax] = size
+                result = result * nd.reshape(view_shape)
+    except FloatingPointError:
+        raise NumericError(f"factor product over {list(position)} overflows") from None
     return DiscreteFactor.from_ndarray(union, result)
 
 
@@ -140,7 +134,11 @@ def sum_marginalise(f: DiscreteFactor, var: str) -> DiscreteFactor:
     if axis is None:
         raise ValidationError(f"{var!r} not in scope")
     rest = tuple(s for s in f.scope if s[0] != var)
-    summed = f.ndarray().sum(axis=axis)
+    try:
+        with np.errstate(over="raise"):
+            summed = f.ndarray().sum(axis=axis)
+    except FloatingPointError:
+        raise NumericError(f"summing {var!r} out of a factor overflows") from None
     return DiscreteFactor.from_ndarray(rest, summed)
 
 

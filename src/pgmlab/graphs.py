@@ -195,29 +195,26 @@ def is_topological(dag: Dag, ordering: Sequence[str]) -> bool:
     return all(position[p] < position[c] for c in dag.nodes for p in dag.parents[c])
 
 
-def descendants(dag: Dag, node: str) -> NodeSet:
-    """All nodes reachable from ``node`` along directed edges (exclusive)."""
+def _reach(dag: Dag, node: str, step) -> NodeSet:
+    """All nodes reachable from ``node`` by repeated ``step`` (exclusive)."""
     dag._check_node(node)
     seen: set[str] = set()
     stack = [node]
     while stack:
-        for c in dag.children_of(stack.pop()):
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
+        for m in step(stack.pop()):
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
     return frozenset(seen)
+
+
+def descendants(dag: Dag, node: str) -> NodeSet:
+    """All nodes reachable from ``node`` along directed edges (exclusive)."""
+    return _reach(dag, node, dag.children_of)
 
 
 def ancestors(dag: Dag, node: str) -> NodeSet:
-    dag._check_node(node)
-    seen: set[str] = set()
-    stack = [node]
-    while stack:
-        for p in dag.parents[stack.pop()]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return frozenset(seen)
+    return _reach(dag, node, dag.parents.__getitem__)
 
 
 def non_descendants(dag: Dag, node: str) -> NodeSet:

@@ -12,14 +12,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import NumericError, SingularMatrixError, ValidationError
 from .graphs import Dag
-from .numerics import matrix_sqrt_psd, psd_eigendecomposition
-from .sequential import Gaussian1, gaussian_product
+from .numerics import finite_array, matrix_sqrt_psd, positive, psd_eigendecomposition
+
+if TYPE_CHECKING:
+    from .sequential import Gaussian1
 
 T = TypeVar("T")
 
@@ -137,8 +139,8 @@ class BetaParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValidationError("Beta parameters must be positive")
+        positive(self.alpha, "alpha")
+        positive(self.beta, "beta")
 
     @property
     def mean(self) -> float:
@@ -163,20 +165,10 @@ def _cell_counts(dag: Dag, data: BinaryDataset) -> dict[str, list[tuple[int, int
     counts: dict[str, list[tuple[int, int]]] = {}
     for node in dag.nodes:
         parents = dag.parents_of(node)
-        n_states = 2 ** len(parents)
-        ones = np.zeros(n_states, dtype=int)
-        zeros = np.zeros(n_states, dtype=int)
-        child = data.column(node)
-        if parents:
-            # First parent varies fastest in the configuration index.
-            weights = 2 ** np.arange(len(parents))
-            config = np.zeros(len(data), dtype=int)
-            for p, w in zip(parents, weights):
-                config += w * data.column(p)
-        else:
-            config = np.zeros(len(data), dtype=int)
-        np.add.at(ones, config[child == 1], 1)
-        np.add.at(zeros, config[child == 0], 1)
+        # Cell 2 s + x counts the rows with parent configuration s and
+        # child x; the first parent varies fastest in s.
+        cell = data.column(node) + sum(2 ** (k + 1) * data.column(p) for k, p in enumerate(parents))
+        zeros, ones = np.bincount(cell, minlength=2 ** (len(parents) + 1)).reshape(-1, 2).T
         counts[node] = list(zip(ones.tolist(), zeros.tolist()))
     return counts
 
@@ -198,10 +190,8 @@ def fit_cpt_mle(dag: Dag, data: BinaryDataset) -> CptEstimate:
 def fit_cpt_bayes(dag: Dag, data: BinaryDataset, alpha0: float, beta0: float) -> CptPosterior:
     """Posterior Beta(alpha0 + n1, beta0 + n0) per cell under independent
     Beta priors shared across all cells."""
-    if not (math.isfinite(alpha0) and math.isfinite(beta0)):
-        raise ValidationError("hyperparameters must be finite")
-    if alpha0 <= 0 or beta0 <= 0:
-        raise ValidationError("hyperparameters must be positive")
+    positive(alpha0, "alpha0")
+    positive(beta0, "beta0")
     counts = _cell_counts(dag, data)
     cells = {
         node: tuple(BetaParams(alpha0 + n1, beta0 + n0) for n1, n0 in pairs)
@@ -234,8 +224,9 @@ def gaussian_mean_posterior(data: Sequence[float], sigma2: float, prior: Gaussia
     The likelihood contributes an effective Gaussian N(xbar, sigma2/n) that
     multiplies the prior.  Empty data returns the prior unchanged.
     """
-    if sigma2 <= 0:
-        raise ValidationError("sigma2 must be positive")
+    from .sequential import Gaussian1, gaussian_product
+
+    positive(sigma2, "sigma2")
     arr = np.asarray(list(data), dtype=float)
     if arr.size == 0:
         return prior
@@ -349,6 +340,7 @@ def ising2_mle(data: np.ndarray, lo: float = -20.0, hi: float = 20.0, tol: float
     """Maximum likelihood coupling: solve moment(theta) = mean(x1*x2) by
     bisection.  The empirical moment must lie strictly inside (-1, 1); at
     the boundary the MLE diverges."""
+    positive(tol, "tol")
     arr = np.asarray(data, dtype=int)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise ValidationError("data must be nonempty pairs")
@@ -375,10 +367,10 @@ def ising2_mle(data: np.ndarray, lo: float = -20.0, hi: float = 20.0, tol: float
 
 def fa_marginal(F: np.ndarray, C: np.ndarray, psi_diag: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of the visibles: (c, F C F^T + diag(psi))."""
-    F = np.asarray(F, dtype=float)
-    C = np.asarray(C, dtype=float)
-    psi = np.asarray(psi_diag, dtype=float).reshape(-1)
-    c = np.asarray(c, dtype=float).reshape(-1)
+    F = finite_array(F, "F")
+    C = finite_array(C, "C")
+    psi = finite_array(psi_diag, "psi").reshape(-1)
+    c = finite_array(c, "c").reshape(-1)
     if F.ndim != 2:
         raise ValidationError("F must be a matrix")
     d, h = F.shape
@@ -395,8 +387,8 @@ def fa_marginal(F: np.ndarray, C: np.ndarray, psi_diag: np.ndarray, c: np.ndarra
 def fa_standardise(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Absorb a latent covariance into the loadings: F C^{1/2} reproduces the
     same visible covariance with identity latents."""
-    F = np.asarray(F, dtype=float)
-    C = np.asarray(C, dtype=float)
+    F = finite_array(F, "F")
+    C = finite_array(C, "C")
     if F.ndim != 2 or C.shape != (F.shape[1], F.shape[1]):
         raise ValidationError("shape mismatch between F and C")
     return F @ matrix_sqrt_psd(C)

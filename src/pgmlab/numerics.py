@@ -8,6 +8,7 @@ positive.  Newton steps solve through a Cholesky factor.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +25,31 @@ def float_array(x, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be numeric and rectangular") from None
 
 
+def finite_array(x, what: str) -> np.ndarray:
+    """:func:`float_array` with every entry finite."""
+    arr = float_array(x, what)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must be finite")
+    return arr
+
+
+def positive(x, what: str):
+    """``x``, a number or an array, once every entry is checked: 0 and -inf
+    are not positive; NaN and +inf, which pass ``x <= 0``, are not finite."""
+    array = isinstance(x, np.ndarray)
+    if (x <= 0).any() if array else x <= 0:
+        raise ValidationError(f"{what} must be positive")
+    if not (np.isfinite(x).all() if array else math.isfinite(x)):
+        raise ValidationError(f"{what} must be finite" + ("" if array else f", got {x}"))
+    return x
+
+
+def check_symmetric(a: np.ndarray, what: str) -> None:
+    """Raise unless ``a`` is a square matrix within 1e-9 of its transpose."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-9, rtol=0.0):
+        raise ValidationError(f"{what} must be symmetric")
+
+
 def gram_schmidt(vectors: Sequence[np.ndarray], tol: float = 1e-10) -> tuple[list[np.ndarray], list[bool]]:
     """Orthogonalise vectors in order, flagging dependent ones.
 
@@ -32,8 +58,7 @@ def gram_schmidt(vectors: Sequence[np.ndarray], tol: float = 1e-10) -> tuple[lis
     input as linearly dependent; the (numerically zero) residual is still
     returned but never used as a projector afterwards.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    positive(tol, "tol")
     arrays = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if len({a.size for a in arrays}) > 1:
         raise ValidationError("vectors must share a dimension")
@@ -65,10 +90,10 @@ def power_method(
     :class:`ConvergenceError` (carrying the last iterate) if the budget runs
     out.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.allclose(sigma, sigma.T, atol=1e-9):
-        raise ValidationError("matrix must be symmetric")
-    w = np.asarray(w0, dtype=float).reshape(-1)
+    sigma = finite_array(sigma, "matrix")
+    check_symmetric(sigma, "matrix")
+    positive(tol, "tol")
+    w = finite_array(w0, "w0").reshape(-1)
     norm = np.linalg.norm(w)
     if norm == 0:
         raise ValidationError("w0 must be nonzero")
@@ -92,13 +117,10 @@ def sym_eigendecomposition(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Eigenvalues are returned descending; each eigenvector's
     largest-magnitude component is positive.
     """
-    a = np.asarray(c, dtype=float)
+    a = finite_array(c, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("matrix must be square")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix must be finite")
-    if not np.allclose(a, a.T, atol=1e-9, rtol=0.0):
-        raise ValidationError("matrix must be symmetric")
+    check_symmetric(a, "matrix")
     eigvals, vecs = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(-eigvals, kind="stable")
     eigvals, vecs = eigvals[order], vecs[:, order]
@@ -174,8 +196,7 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float =
     Works for matrix arguments as well: the perturbation runs over the
     flattened coordinates and the result has the shape of ``x``.
     """
-    if h <= 0:
-        raise ValidationError("h must be positive")
+    positive(h, "h")
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     grad = np.empty_like(flat)
@@ -193,12 +214,10 @@ def newton_step(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     factorisation H = L L^T; failure to factor raises
     :class:`NotPositiveDefiniteError`.
     """
-    g = np.asarray(g, dtype=float).reshape(-1)
-    h = np.asarray(h, dtype=float)
+    g = finite_array(g, "g").reshape(-1)
+    h = finite_array(h, "H")
     if h.shape != (g.size, g.size):
         raise ValidationError("H must be square over the dimension of g")
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-        raise ValidationError("g and H must be finite")
     try:
         lower = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, NumericError, ValidationError
-from .numerics import float_array
+from .numerics import finite_array, float_array, positive
 
 _ROW_TOL = 1e-9
 
@@ -157,29 +157,33 @@ def predict_visible(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np
     return hmm.emissions[t - 1].T @ hidden
 
 
+def _backward(hmm: DiscreteHmm, obs: list[int]) -> list[np.ndarray]:
+    """Backward vectors beta_1, ..., beta_n: beta_t is proportional to
+    p(v_{t+1:n} | h_t), scaled to a peak of one; beta_n is all ones."""
+    betas = [np.ones(hmm.n_states)]
+    for t in range(len(obs) - 1, 0, -1):
+        beta = hmm.transitions[t - 1] @ (hmm.emissions[t][:, obs[t]] * betas[-1])
+        peak = beta.max()
+        if peak <= 0.0:
+            raise ImpossibleEvidenceError("evidence has probability zero")
+        betas.append(beta / peak)
+    return betas[::-1]
+
+
 def smooth(hmm: DiscreteHmm, observations: Sequence[int]) -> list[np.ndarray]:
     """Smoothed marginals p(h_t | v_{1:n}) for the full sequence via the
     forward-backward product; the backward pass starts from all ones."""
     obs = _check_observations(hmm, observations)
-    n = len(obs)
-    if n != hmm.n_steps:
+    if len(obs) != hmm.n_steps:
         raise ValidationError("smoothing needs the full observation sequence")
     filtered, _ = alpha_filter(hmm, obs)
-    k = hmm.n_states
-    beta = np.ones(k)
-    out: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for t in range(n - 1, -1, -1):
-        joint = filtered[t] * beta
+    out = []
+    for alpha, beta in zip(filtered, _backward(hmm, obs)):
+        joint = alpha * beta
         total = joint.sum()
         if total <= 0.0:
             raise ImpossibleEvidenceError("evidence has probability zero")
-        out[t] = joint / total
-        if t > 0:
-            beta = hmm.transitions[t - 1] @ (hmm.emissions[t][:, obs[t]] * beta)
-            peak = beta.max()
-            if peak <= 0.0:
-                raise ImpossibleEvidenceError("evidence has probability zero")
-            beta = beta / peak
+        out.append(joint / total)
     return out
 
 
@@ -196,11 +200,7 @@ def smooth_pairwise(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np
     if not 2 <= t <= n:
         raise ValidationError(f"pair step t={t} must lie in [2, {n}]")
     filtered, _ = alpha_filter(hmm, obs)
-    k = hmm.n_states
-    beta = np.ones(k)
-    for s in range(n, t, -1):
-        beta = hmm.transitions[s - 2] @ (hmm.emissions[s - 1][:, obs[s - 1]] * beta)
-        beta = beta / beta.max()
+    beta = _backward(hmm, obs)[t - 1]
     joint = (
         filtered[t - 2][:, None]
         * hmm.transitions[t - 2]
@@ -257,11 +257,9 @@ def _backward_kernel(hmm: DiscreteHmm, obs: list[int], filtered: list[np.ndarray
     emis = hmm.emissions[t - 1][:, obs[t - 1]]
     # Unnormalised filtered vector at t, with the same scaling as prev.
     forward_t = emis * (hmm.transitions[t - 2].T @ prev)
-    kernel = np.zeros((hmm.n_states, hmm.n_states))
-    for h in range(hmm.n_states):
-        if forward_t[h] > 0.0:
-            kernel[h] = prev * hmm.transitions[t - 2][:, h] * emis[h] / forward_t[h]
-    return kernel
+    # Row h: prev * transitions[:, h] * emis[h] / forward_t[h]; zeros where forward_t[h] = 0.
+    return np.divide(prev * hmm.transitions[t - 2].T * emis[:, None], forward_t[:, None],
+                     out=np.zeros((hmm.n_states, hmm.n_states)), where=forward_t[:, None] > 0.0)
 
 
 def ffbs(hmm: DiscreteHmm, observations: Sequence[int], rng) -> list[int]:
@@ -311,10 +309,8 @@ class Gaussian1:
     var: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.var)):
-            raise ValidationError("mean and variance must be finite")
-        if self.var <= 0.0:
-            raise ValidationError("variance must be positive")
+        finite_array(self.mean, "mean")
+        positive(self.var, "variance")
 
 
 def gaussian_product(a: Gaussian1, b: Gaussian1) -> Gaussian1:
@@ -342,7 +338,7 @@ def _coefficients(name: str, seq) -> tuple[float, ...]:
     if not isinstance(seq, (list, tuple, np.ndarray)) or any(isinstance(x, str) for x in seq):
         raise ValidationError(f"{name} must be a list of numbers")
     try:
-        return tuple(float(x) for x in seq)
+        return tuple(finite_array([float(x) for x in seq], name).tolist())
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a list of numbers") from None
 

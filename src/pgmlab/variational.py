@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .numerics import float_array
+from .numerics import check_symmetric, finite_array, float_array, positive
 
 
 @dataclass(frozen=True)
@@ -26,16 +26,12 @@ class GaussianTarget:
     linear: np.ndarray
 
     def __init__(self, precision, linear):
-        lam = float_array(precision, "precision")
-        eta = float_array(linear, "linear").reshape(-1)
+        lam = finite_array(precision, "precision")
+        eta = finite_array(linear, "linear").reshape(-1)
         if lam.ndim != 2 or lam.shape != (eta.size, eta.size):
             raise ValidationError("precision must be square over the dimension of linear")
-        if not np.allclose(lam, lam.T, atol=1e-9, rtol=0.0):
-            raise ValidationError("precision must be symmetric")
-        if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(eta)):
-            raise ValidationError("target parameters must be finite")
-        if np.any(np.diag(lam) <= 0):
-            raise ValidationError("diagonal precision entries must be positive")
+        check_symmetric(lam, "precision")
+        positive(np.diag(lam), "diagonal precision")
         object.__setattr__(self, "precision", lam)
         object.__setattr__(self, "linear", eta)
 
@@ -52,12 +48,10 @@ class MeanFieldState:
     variances: np.ndarray
 
     def __init__(self, means, variances):
-        m = np.asarray(means, dtype=float).reshape(-1)
-        v = np.asarray(variances, dtype=float).reshape(-1)
+        m = finite_array(means, "means").reshape(-1)
+        v = positive(float_array(variances, "variances").reshape(-1), "variances")
         if m.size != v.size:
             raise ValidationError("means and variances must have equal length")
-        if np.any(v <= 0) or not np.all(np.isfinite(v)) or not np.all(np.isfinite(m)):
-            raise ValidationError("variances must be positive and all entries finite")
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
 
@@ -98,6 +92,7 @@ def mean_field_solve(
     """
     if sweeps < 1:
         raise ValidationError("sweeps must be >= 1")
+    positive(tol, "tol")
     state = init
     for _ in range(sweeps):
         previous = state.means
@@ -129,18 +124,15 @@ def isotropic_kl_fit(variances) -> float:
     """Shared variance minimising KL(q || p) from an isotropic Gaussian q to
     a product of zero-mean Gaussians p: the harmonic mean of the target
     variances."""
-    v = np.asarray(variances, dtype=float).reshape(-1)
+    v = positive(float_array(variances, "variances").reshape(-1), "variances")
     if v.size == 0:
         raise ValidationError("need at least one variance")
-    if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise ValidationError("variances must be positive and finite")
     return float(v.size / np.sum(1.0 / v))
 
 
 def isotropic_kl(variances, lam2: float) -> float:
     """KL(q(.; lam2) || prod N(0, sigma_i^2)) up to constants:
     -d log(lam) + lam^2 / 2 * sum 1/sigma_i^2."""
-    v = np.asarray(variances, dtype=float).reshape(-1)
-    if lam2 <= 0:
-        raise ValidationError("lam2 must be positive")
+    v = positive(float_array(variances, "variances").reshape(-1), "variances")
+    positive(lam2, "lam2")
     return float(-0.5 * v.size * math.log(lam2) + 0.5 * lam2 * np.sum(1.0 / v))

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -573,6 +574,10 @@ def test_eliminate_star_rejected_before_allocating(tmp_path):
     ({"ugm": {"nodes": 5}}, ["graph", "usep", "--x", "a", "--y", "b"], "ugm: 'nodes'"),
     ({"ugm": {"nodes": ["a", "b"], "edges": [["a"]]}}, ["graph", "usep", "--x", "a", "--y", "b"],
      "ugm: 'edges'"),
+    ({"kalman": {**KALMAN_MODEL["kalman"], "A": [1.0, math.nan]}}, ["kalman", "filter", "--obs=1,2"],
+     "A must be finite"),
+    ({"kalman": {**KALMAN_MODEL["kalman"], "C": [1.0, math.inf]}}, ["kalman", "filter", "--obs=1,2"],
+     "C must be finite"),
 ])
 def test_non_numeric_scalar_names_the_field(write_model, capsys, doc, argv, field):
     path = write_model("bad.model", doc)
@@ -716,6 +721,11 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, argv, path):
     (["sample", "rejection", "--b", "inf", "--seed", "1"], "b must be finite"),
     (["sample", "rejection", "--b", "0.01", "--seed", "1"], "too small"),
     (["sample", "rejection", "--b", "1e-300", "--seed", "1"], "too small"),
+    (["vi", "meanfield", "--model", "@meanfield", "--tol=nan"], "tol must be finite"),
+    (["vi", "meanfield", "--model", "@meanfield", "--tol=inf"], "tol must be finite"),
+    (["vi", "meanfield", "--model", "@meanfield", "--tol=-1"], "tol must be positive"),
+    (["vi", "meanfield", "--model", "@meanfield", "--tol=0"], "tol must be positive"),
+    (["sample", "rejection", "--b", "0.1", "--samples", "1", "--seed", "1"], "b=0.1 needs about 4.14e+20 proposals"),
 ])
 def test_non_finite_or_degenerate_option_exits_2(tmp_path, capsys, argv, message):
     assert cli.main(_resolve(argv, tmp_path)) == 2
@@ -732,3 +742,26 @@ def test_negative_seed_exits_2(spec, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error: seed must be a non-negative integer, got -1")
     assert "Traceback" not in err
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("spec", cli.COMMANDS, ids=lambda spec: f"{spec.group}-{spec.name}")
+def test_every_command_prints_strict_json(spec, tmp_path, capsys):
+    argv = [spec.group, spec.name, *_EXAMPLES[spec.group, spec.name]]
+    assert cli.main(_resolve(argv + (["--seed", "9"] if spec.seeded else []), tmp_path)) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_not_json)
+
+
+def test_overflowing_elimination_is_a_numeric_error(write_model, capsys):
+    doc = {"variables": [{"name": "a", "card": 2}, {"name": "b", "card": 2}],
+           "factors": [{"name": "f", "scope": ["a"], "values": [1e300, 1e300]},
+                       {"name": "g", "scope": ["a", "b"], "values": [1e300] * 4}]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["fg", "eliminate", "--model", write_model("big.model", doc), "--keep", "b", "--order", "a"])
+    assert code == 3
+    assert capsys.readouterr().err == "numeric error: factor product over ['a', 'b'] overflows\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -102,6 +102,7 @@ class TestRejection:
 
     @pytest.mark.parametrize("seed, b, n", [
         (40, 1.0, 1), (41, 1.0, 300), (42, 0.3, 50), (43, 0.5, 7), (44, 2.0, 200), (45, 7.5, 30),
+        (46, 0.22, 2),
     ])
     def test_preset_matches_per_draw_sampler(self, seed, b, n):
         # The per-draw callback sampler with the preset's densities is the

@@ -1,0 +1,163 @@
+"""Every parameter check goes through the three checkers in ``numerics``:
+NaN and infinities are rejected wherever a positive number, a finite array
+or a symmetric matrix is required, and the error names the parameter."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from pgmlab import learning, numerics, samplers, sequential, variational
+from pgmlab.errors import NumericError, ValidationError
+from pgmlab.factors import DiscreteFactor, product, sum_marginalise
+from pgmlab.graphs import Dag
+from pgmlab.samplers import SeededRng
+
+SPD = [[2.0, 0.5], [0.5, 1.0]]
+TARGET = variational.GaussianTarget(SPD, [1.0, 0.0])
+MF_INIT = variational.MeanFieldState([0.0, 0.0], [1.0, 1.0])
+SPINS = np.array([[1, 1], [1, -1], [-1, -1], [1, 1]])
+CPT_DAG = Dag(["a"], {})
+CPT_DATA = learning.BinaryDataset(["a"], [[0], [1], [1]])
+PRIOR = sequential.Gaussian1(0.0, 1.0)
+KALMAN = {"A": [1.0, 0.9], "B": [0.0, 0.3], "C": [2.0, 2.0], "D": [0.5, 0.5]}
+
+
+def _kalman(name, value):
+    coefficients = {**KALMAN, name: [1.0, value]}
+    return sequential.KalmanModel(**coefficients, prior=PRIOR)
+
+
+# name -> a call taking the value under test in place of a positive scalar.
+POSITIVE = {
+    "gram_schmidt tol": ("tol", lambda x: numerics.gram_schmidt([[1.0, 0.0], [2.0, 0.0]], tol=x)),
+    "power_method tol": ("tol", lambda x: numerics.power_method(SPD, [1.0, 0.0], tol=x)),
+    "finite_diff_grad h": ("h", lambda x: numerics.finite_diff_grad(lambda w: float(w @ w), [1.0], h=x)),
+    "sample_exponential lam": ("lam", lambda x: samplers.sample_exponential(SeededRng(0), x, size=3)),
+    "rejection_sample m": ("m", lambda x: samplers.rejection_sample(
+        SeededRng(0), samplers.standard_normal_logpdf, lambda r: float(r.normal()),
+        samplers.standard_normal_logpdf, x, 1)),
+    "laplace_normal_bound b": ("b", samplers.laplace_normal_bound),
+    "mh vari": ("vari", lambda x: samplers.mh(SeededRng(0), lambda th: 0.0, [0.0], 5, vari=x)),
+    "BetaParams alpha": ("alpha", lambda x: learning.BetaParams(x, 1.0)),
+    "BetaParams beta": ("beta", lambda x: learning.BetaParams(1.0, x)),
+    "fit_cpt_bayes alpha0": ("alpha0", lambda x: learning.fit_cpt_bayes(CPT_DAG, CPT_DATA, x, 1.0)),
+    "fit_cpt_bayes beta0": ("beta0", lambda x: learning.fit_cpt_bayes(CPT_DAG, CPT_DATA, 1.0, x)),
+    "gaussian_mean_posterior sigma2": ("sigma2", lambda x: learning.gaussian_mean_posterior([1.0], x, PRIOR)),
+    "ising2_mle tol": ("tol", lambda x: learning.ising2_mle(SPINS, tol=x)),
+    "mean_field_solve tol": ("tol", lambda x: variational.mean_field_solve(TARGET, MF_INIT, tol=x)),
+    "isotropic_kl lam2": ("lam2", lambda x: variational.isotropic_kl([1.0, 2.0], x)),
+    "Gaussian1 variance": ("variance", lambda x: sequential.Gaussian1(0.0, x)),
+}
+
+# name -> a call taking an array with one non-finite entry.
+FINITE = {
+    "power_method matrix": ("matrix", lambda v: numerics.power_method([[v, 0.0], [0.0, v]], [1.0, 0.0])),
+    "power_method w0": ("w0", lambda v: numerics.power_method(SPD, [1.0, v])),
+    "sym_eigendecomposition matrix": ("matrix", lambda v: numerics.sym_eigendecomposition([[v, 0.0], [0.0, 1.0]])),
+    "newton_step g": ("g", lambda v: numerics.newton_step([1.0, v], SPD)),
+    "newton_step H": ("H", lambda v: numerics.newton_step([1.0, 0.0], [[v, 0.0], [0.0, 1.0]])),
+    "mh init": ("init", lambda v: samplers.mh(SeededRng(0), lambda th: 0.0, [0.0, v], 5)),
+    "RbmModel W": ("W", lambda v: samplers.RbmModel([[v]], [0.0], [0.0])),
+    "RbmModel a": ("a", lambda v: samplers.RbmModel([[0.0]], [v], [0.0])),
+    "RbmModel b": ("b", lambda v: samplers.RbmModel([[0.0]], [0.0], [v])),
+    "gaussian_tail_weights threshold": ("threshold", lambda v: samplers.gaussian_tail_weights(SeededRng(0), 3, v)),
+    "fa_marginal F": ("F", lambda v: learning.fa_marginal([[1.0], [v]], [[1.0]], [0.1, 0.1], [0.0, 0.0])),
+    "fa_marginal C": ("C", lambda v: learning.fa_marginal([[1.0]], [[v]], [0.1], [0.0])),
+    "fa_marginal psi": ("psi", lambda v: learning.fa_marginal([[1.0]], [[1.0]], [v], [0.0])),
+    "fa_marginal c": ("c", lambda v: learning.fa_marginal([[1.0]], [[1.0]], [0.1], [v])),
+    "fa_standardise F": ("F", lambda v: learning.fa_standardise([[1.0], [v]], [[1.0]])),
+    "fa_standardise C": ("C", lambda v: learning.fa_standardise([[1.0]], [[v]])),
+    "GaussianTarget precision": ("precision", lambda v: variational.GaussianTarget([[v, 0.0], [0.0, 1.0]], [0.0, 0.0])),
+    "GaussianTarget linear": ("linear", lambda v: variational.GaussianTarget(SPD, [0.0, v])),
+    "MeanFieldState means": ("means", lambda v: variational.MeanFieldState([0.0, v], [1.0, 1.0])),
+    "MeanFieldState variances": ("variances", lambda v: variational.MeanFieldState([0.0, 0.0], [1.0, v])),
+    "isotropic_kl_fit variances": ("variances", lambda v: variational.isotropic_kl_fit([1.0, v])),
+    "isotropic_kl variances": ("variances", lambda v: variational.isotropic_kl([1.0, v], 1.0)),
+    "DiscreteFactor values": ("factor values", lambda v: DiscreteFactor([("a", 2)], [1.0, v])),
+    "Gaussian1 mean": ("mean", lambda v: sequential.Gaussian1(v, 1.0)),
+    **{f"KalmanModel {name}": (name, lambda v, name=name: _kalman(name, v)) for name in KALMAN},
+}
+
+# name -> a call taking a matrix that should be symmetric.
+SYMMETRIC = {
+    "power_method": ("matrix", lambda a: numerics.power_method(a, [1.0, 0.0])),
+    "sym_eigendecomposition": ("matrix", numerics.sym_eigendecomposition),
+    "GaussianTarget": ("precision", lambda a: variational.GaussianTarget(a, [0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("site", sorted(POSITIVE))
+def test_positive_scalar_rejects_nan_inf_and_zero(site, value):
+    name, call = POSITIVE[site]
+    reason = "finite" if value > 0 or math.isnan(value) else "positive"
+    with pytest.raises(ValidationError, match=f"^{name} must be {reason}"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("site", sorted(FINITE))
+def test_array_rejects_a_non_finite_entry(site, value):
+    name, call = FINITE[site]
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", sorted(SYMMETRIC))
+def test_symmetric_check_has_no_relative_slack(site):
+    # 1e-6 off in an entry of size 1 passed power_method's old check, whose
+    # default relative tolerance was 1e-5.
+    name, call = SYMMETRIC[site]
+    call([[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValidationError, match=f"^{name} must be symmetric"):
+        call([[1.0, 0.5], [0.5 + 1e-6, 1.0]])
+
+
+def test_positive_passes_the_value_through():
+    assert numerics.positive(3, "x") == 3
+    v = np.array([1.0, 2.0])
+    assert numerics.positive(v, "v") is v
+    assert numerics.finite_array([[1, 2]], "v").dtype == float
+
+
+class TestRejectionBudget:
+    def test_small_scale_refused_before_drawing(self):
+        rng, ref = SeededRng(1), SeededRng(1)
+        with pytest.raises(ValidationError, match=r"^b=0\.1 needs about 4\.14e\+20 proposals for n=1 samples"):
+            samplers.rejection_normal_via_laplace(rng, 1, 0.1)
+        assert float(rng.uniform()) == float(ref.uniform())
+
+    def test_limit_is_on_expected_proposals(self):
+        m = samplers.laplace_normal_bound(0.3)
+        n = int(samplers._MAX_PROPOSALS / m) + 1
+        with pytest.raises(ValidationError, match=f"for n={n} samples, over the limit of 1e\\+08"):
+            samplers.rejection_normal_via_laplace(SeededRng(2), n, 0.3)
+
+    def test_benchmark_and_test_scales_stay_accepted(self):
+        # b >= 0.3 with n <= 10,000 needs at most 6.2e5 proposals.
+        assert 10_000 * samplers.laplace_normal_bound(0.3) < samplers._MAX_PROPOSALS
+
+
+class TestFactorOverflow:
+    def _overflowing(self):
+        return (DiscreteFactor([("a", 2)], [1e300, 1e300]),
+                DiscreteFactor([("a", 2), ("b", 2)], [1e300] * 4))
+
+    def test_product_raises_numeric_error_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"factor product over \['a', 'b'\] overflows"):
+                product(self._overflowing())
+
+    def test_sum_raises_numeric_error_without_warning(self):
+        f = DiscreteFactor([("a", 2)], [1.7e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="summing 'a' out of a factor overflows"):
+                sum_marginalise(f, "a")
+
+    def test_underflow_to_zero_is_allowed(self):
+        tiny = DiscreteFactor([("a", 1)], [1e-300])
+        assert product([tiny, tiny]).values.tolist() == [0.0]
