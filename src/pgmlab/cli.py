@@ -38,10 +38,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _round_sig(x: float, digits: int = 12) -> float:
+def _round_sig(x: float) -> float:
     if x == 0 or not math.isfinite(x):
         return x
-    return float(f"{x:.{digits}g}")
+    return float(f"{x:.12g}")
 
 
 def _jsonable(value):
@@ -314,6 +314,9 @@ def _cmd_sample_mh(args, _):
     from . import learning, samplers
 
     rng = samplers.SeededRng(args.seed)
+    if bool(args.out_csv) != bool(args.out_json):
+        given, missing = ("--out-csv", "--out-json") if args.out_csv else ("--out-json", "--out-csv")
+        raise ValidationError(f"{given} needs {missing}")
     if args.target == "normal":
         # th.dot(th) calls the same BLAS dot as th @ th, at a third of the cost.
         log_p = lambda th: -0.5 * float(th.dot(th))
@@ -326,7 +329,7 @@ def _cmd_sample_mh(args, _):
         init = np.zeros(2)
     trace = samplers.mh(rng, log_p, init, args.samples, args.vari, args.warmup)
     names = [f"theta{k}" for k in range(trace.samples.shape[1])]
-    if args.out_csv and args.out_json:
+    if args.out_csv:
         samplers.export_trace(trace, args.out_csv, args.out_json, names)
     outputs = {
         "mean": trace.samples.mean(axis=0),

@@ -23,7 +23,8 @@ from .numerics import finite_array
 
 Scope = tuple[tuple[str, int], ...]
 
-# Largest table ``eliminate`` may build: 2**24 float64 entries, 128 MiB.
+# Largest table ``ones``, ``product`` and ``eliminate`` may build: 2**24
+# float64 entries, 128 MiB.
 MAX_TABLE_ENTRIES = 2**24
 
 
@@ -44,7 +45,7 @@ def _validate_scope(scope: Iterable[tuple[str, int]]) -> Scope:
 
 @dataclass(frozen=True)
 class DiscreteFactor:
-    """Non-negative table over an ordered scope of discrete variables."""
+    """Non-negative table over an ordered scope: names in ``var_names``, cardinalities in ``cards``."""
 
     scope: Scope
     values: np.ndarray
@@ -61,16 +62,8 @@ class DiscreteFactor:
         arr.setflags(write=False)
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "values", arr)
-
-    # -- basic accessors ---------------------------------------------------
-
-    @property
-    def var_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.scope)
-
-    @property
-    def cards(self) -> tuple[int, ...]:
-        return tuple(card for _, card in self.scope)
+        object.__setattr__(self, "var_names", tuple(name for name, _ in scope))
+        object.__setattr__(self, "cards", tuple(card for _, card in scope))
 
     def ndarray(self) -> np.ndarray:
         """Multi-dimensional view; axis k indexes the k-th scope variable."""
@@ -92,40 +85,42 @@ class DiscreteFactor:
     @classmethod
     def ones(cls, scope: Iterable[tuple[str, int]]) -> "DiscreteFactor":
         scope = _validate_scope(scope)
-        return cls(scope, np.ones(math.prod(c for _, c in scope)))
+        return cls(scope, np.ones(_table_shape(scope)))
+
+
+def _table_shape(scope: Scope) -> tuple[int, ...]:
+    """The cardinalities of ``scope``, once its table is known to fit in
+    ``MAX_TABLE_ENTRIES`` entries."""
+    shape = tuple(card for _, card in scope)
+    size = math.prod(shape)
+    if size > MAX_TABLE_ENTRIES:
+        raise ValidationError(f"a table over {[name for name, _ in scope]} would have {size} entries, "
+                              f"over the limit of {MAX_TABLE_ENTRIES}")
+    return shape
 
 
 def product(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
     """Multiply factors; the result scope is the union in first-appearance
     order and shared variables must agree on cardinality."""
-    union: list[tuple[str, int]] = []
-    seen: dict[str, int] = {}
+    union: dict[str, int] = {}
     for f in factors:
         for name, card in f.scope:
-            if name in seen:
-                if seen[name] != card:
-                    raise ValidationError(f"cardinality conflict for {name!r}")
-            else:
-                seen[name] = card
-                union.append((name, card))
-    shape = tuple(card for _, card in union)
-    position = {name: i for i, (name, _) in enumerate(union)}
-    result = np.ones(shape)
-    try:
-        with np.errstate(over="raise"):
-            for f in factors:
-                axes = [position[name] for name in f.var_names]
-                # Reorder the factor axes by union position, then broadcast
-                # with size-1 axes for the variables it does not mention.
-                perm = sorted(range(len(axes)), key=axes.__getitem__)
-                nd = np.transpose(f.ndarray(), perm)
-                view_shape = [1] * len(union)
-                for ax, size in zip(sorted(axes), nd.shape):
-                    view_shape[ax] = size
-                result = result * nd.reshape(view_shape)
-    except FloatingPointError:
-        raise NumericError(f"factor product over {list(position)} overflows") from None
-    return DiscreteFactor.from_ndarray(union, result)
+            if union.setdefault(name, card) != card:
+                raise ValidationError(f"cardinality conflict for {name!r}")
+    scope = tuple(union.items())
+    # einsum takes at most 52 axis labels, so only axes longer than one get one (at most 24
+    # under the table cap); dropping length-1 axes keeps the Fortran-order layout.
+    axis = {name: k for k, name in enumerate(name for name, card in scope if card > 1)}
+    all_axes = list(axis.values())
+    result = np.ones([card for card in _table_shape(scope) if card > 1])
+    for f in factors:
+        nd = f.values.reshape([card for card in f.cards if card > 1], order="F")
+        # Two operands and no summed axis: each entry is the one product a*b.
+        result = np.einsum(result, all_axes, nd, [axis[name] for name in f.var_names if name in axis], all_axes)
+    # einsum ignores np.errstate; from finite inputs, inf or inf*0 = nan mark an overflow.
+    if not np.isfinite(result).all():
+        raise NumericError(f"factor product over {list(union)} overflows")
+    return DiscreteFactor.from_ndarray(scope, result)
 
 
 def sum_marginalise(f: DiscreteFactor, var: str) -> DiscreteFactor:

@@ -372,11 +372,10 @@ def oracle_from_ugm(ugm: Ugm) -> IndependenceOracle:
     return lambda x, y, z: u_separated(ugm, x, y, z)
 
 
-def _subsets_by_size(pool: Sequence[str], max_size: int | None = None):
+def _subsets_by_size(pool: Sequence[str]):
     # Smallest first; within a size, lexicographic by the sorted name tuple.
     pool = sorted(pool)
-    top = len(pool) if max_size is None else max_size
-    for size in range(top + 1):
+    for size in range(len(pool) + 1):
         yield from itertools.combinations(pool, size)
 
 

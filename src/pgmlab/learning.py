@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError, SingularMatrixError, ValidationError
 from .graphs import Dag
-from .numerics import finite_array, matrix_sqrt_psd, positive, psd_eigendecomposition
+from .numerics import entries_in, finite_array, matrix_sqrt_psd, positive, psd_eigendecomposition
 
 if TYPE_CHECKING:
     from .sequential import Gaussian1
@@ -37,11 +37,9 @@ class BinaryDataset:
         cols = tuple(str(c) for c in columns)
         if len(set(cols)) != len(cols):
             raise ValidationError("duplicate column names")
-        arr = np.asarray(rows, dtype=int)
+        arr = entries_in(rows, (0, 1), "entries must be 0 or 1")
         if arr.ndim != 2 or arr.shape[1] != len(cols):
             raise ValidationError("rows must form a rectangular table matching the columns")
-        if not np.isin(arr, (0, 1)).all():
-            raise ValidationError("entries must be 0 or 1")
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "rows", arr)
 
@@ -98,11 +96,9 @@ def _int_row(row: list[str]) -> list[int]:
 def load_spin_csv(path) -> np.ndarray:
     """Read a CSV of -1/+1 entries (header row ignored beyond its width)."""
     header, rows = _read_csv(path, _int_row)
-    arr = np.asarray(rows, dtype=int)
+    arr = entries_in(rows, (-1, 1), "spin entries must be -1 or +1")
     if arr.size == 0 or arr.ndim != 2 or arr.shape[1] != len(header):
         raise ValidationError("spin data must be a nonempty rectangular table")
-    if not np.isin(arr, (-1, 1)).all():
-        raise ValidationError("spin entries must be -1 or +1")
     return arr
 
 
@@ -201,12 +197,10 @@ def fit_cpt_bayes(dag: Dag, data: BinaryDataset, alpha0: float, beta0: float) ->
 
 
 def bernoulli_mle(data: Sequence[int]) -> float:
-    values = [int(x) for x in data]
-    if not values:
+    values = entries_in(data, (0, 1), "entries must be 0 or 1")
+    if values.size == 0:
         raise ValidationError("empty data")
-    if any(v not in (0, 1) for v in values):
-        raise ValidationError("entries must be 0 or 1")
-    return sum(values) / len(values)
+    return int(values.sum()) / values.size
 
 
 def gaussian_mle(data: Sequence[float]) -> tuple[float, float]:
@@ -341,11 +335,10 @@ def ising2_mle(data: np.ndarray, lo: float = -20.0, hi: float = 20.0, tol: float
     bisection.  The empirical moment must lie strictly inside (-1, 1); at
     the boundary the MLE diverges."""
     positive(tol, "tol")
-    arr = np.asarray(data, dtype=int)
+    lo, hi = float(finite_array(lo, "lo")), float(finite_array(hi, "hi"))
+    arr = entries_in(data, (-1, 1), "entries must be -1 or +1")
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise ValidationError("data must be nonempty pairs")
-    if not np.isin(arr, (-1, 1)).all():
-        raise ValidationError("entries must be -1 or +1")
     target = float((arr[:, 0] * arr[:, 1]).mean())
     if not -1.0 < target < 1.0:
         raise NumericError(f"empirical moment {target} is on the boundary; the MLE diverges")
@@ -355,6 +348,8 @@ def ising2_mle(data: np.ndarray, lo: float = -20.0, hi: float = 20.0, tol: float
         raise NumericError("bisection bracket does not enclose the root")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats: tol is below their spacing
+            break
         if f(mid) < 0:
             lo = mid
         else:

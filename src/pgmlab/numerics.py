@@ -33,6 +33,19 @@ def finite_array(x, what: str) -> np.ndarray:
     return arr
 
 
+def entries_in(x, allowed: tuple[int, ...], message: str) -> np.ndarray:
+    """``x`` as an int array once every entry is one of ``allowed``.  The
+    values are checked as given, before the cast, so 0.5 is refused rather
+    than truncated to 0; a refused or non-numeric entry raises ``message``."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(message) from None
+    if not np.isin(arr, allowed).all():
+        raise ValidationError(message)
+    return arr.astype(int)
+
+
 def positive(x, what: str):
     """``x``, a number or an array, once every entry is checked: 0 and -inf
     are not positive; NaN and +inf, which pass ``x <= 0``, are not finite."""

@@ -18,29 +18,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .numerics import finite_array, positive
+from .numerics import entries_in, finite_array, positive
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-class SeededRng:
-    """Deterministic random stream: uniform(0,1) and standard-normal draws.
-
-    Thin wrapper over ``numpy.random.Generator`` with PCG64 so the seed can
-    be recorded alongside results.
-    """
+class SeededRng(np.random.Generator):
+    """NumPy's ``Generator`` on PCG64, with the seed recorded alongside
+    results."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         if self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, size=None):
-        return self._gen.uniform(0.0, 1.0, size=size)
-
-    def normal(self, size=None):
-        return self._gen.standard_normal(size=size)
+        super().__init__(np.random.PCG64(self.seed))
 
 
 # -- inverse transform sampling ------------------------------------------------
@@ -191,7 +182,7 @@ def rejection_normal_via_laplace(rng: SeededRng, n: int, b: float = 1.0) -> tupl
     proposals = 0
     while wanted > 0:
         size = min(max(wanted, math.ceil(wanted * m)), _REJECTION_BLOCK)
-        start = rng._gen.bit_generator.state
+        start = rng.bit_generator.state
         u = rng.uniform(size=(size, 2))
         x = laplace_unit_ppf(u[:, 0]) * scale
         log_acc = standard_normal_logpdf(x) - laplace_logpdf(x, b) - log_m
@@ -202,7 +193,7 @@ def rejection_normal_via_laplace(rng: SeededRng, n: int, b: float = 1.0) -> tupl
         if bad.size:
             _check_log_acceptance(float(x[bad[0]]), float(log_acc[bad[0]]))
         if used < size:  # rewind, then redraw only the proposals used
-            rng._gen.bit_generator.state = start
+            rng.bit_generator.state = start
             rng.uniform(size=(used, 2))
         blocks.append(x[:used][below[:used]])
         wanted -= blocks[-1].size
@@ -339,10 +330,10 @@ def mh(
         raise NumericError("log p* is not finite at the initial state")
     step = math.sqrt(vari)
     dim = current.size
-    # The generator's own methods: random() returns the same double as
-    # uniform(0.0, 1.0) from the same draw, at a third of the call cost.
-    normal = rng._gen.standard_normal
-    uniform = rng._gen.random
+    # random() returns the same double as uniform(0.0, 1.0) from the same
+    # draw, at a third of the call cost.
+    normal = rng.standard_normal
+    uniform = rng.random
     chain = []
     keep = chain.append
     accepted = 0
@@ -455,11 +446,9 @@ def rbm_conditionals(model: RbmModel) -> tuple[Callable, Callable]:
 
 
 def _check_binary(x, size: int, name: str) -> np.ndarray:
-    x = np.asarray(x)
+    x = entries_in(x, (0, 1), f"{name} must be a 0/1 vector")
     if x.shape != (size,):
         raise ValidationError(f"{name} must have length {size}")
-    if not np.isin(x, (0, 1)).all():
-        raise ValidationError(f"{name} must be a 0/1 vector")
     return x.astype(float)
 
 

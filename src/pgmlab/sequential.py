@@ -281,21 +281,18 @@ def ffbs_paths(hmm: DiscreteHmm, observations: Sequence[int], rng, n_paths: int)
     filtered, _ = alpha_filter(hmm, obs)
     kernels = [_backward_kernel(hmm, obs, filtered, t) for t in range(2, n + 1)]
     paths = np.empty((n_paths, n), dtype=int)
-    paths[:, n - 1] = _categorical(rng, filtered[-1], n_paths)
+    paths[:, n - 1] = _draw(rng, np.broadcast_to(np.cumsum(filtered[-1]), (n_paths, hmm.n_states)))
     for t in range(n - 1, 0, -1):
-        kernel = kernels[t - 1]
-        u = rng.uniform(size=n_paths)
-        cdf = kernel.cumsum(axis=1)
-        drawn = (u[:, None] > cdf[paths[:, t]]).sum(axis=1)
-        paths[:, t - 1] = np.minimum(drawn, hmm.n_states - 1)
+        paths[:, t - 1] = _draw(rng, kernels[t - 1].cumsum(axis=1)[paths[:, t]])
     return paths
 
 
-def _categorical(rng, probs: np.ndarray, size: int) -> np.ndarray:
-    cdf = np.cumsum(probs)
-    u = rng.uniform(size=size)
-    drawn = (u[:, None] > cdf[None, :]).sum(axis=1)
-    return np.minimum(drawn, probs.size - 1)
+def _draw(rng, cdf_rows: np.ndarray) -> np.ndarray:
+    """One state per row by inverse transform: the count of cdf entries
+    below one uniform, capped at the last state against rounding."""
+    u = rng.uniform(size=cdf_rows.shape[0])
+    drawn = (u[:, None] > cdf_rows).sum(axis=1)
+    return np.minimum(drawn, cdf_rows.shape[1] - 1)
 
 
 # -- scalar Gaussian algebra and the Kalman filter ---------------------------

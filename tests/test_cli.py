@@ -726,6 +726,8 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, argv, path):
     (["vi", "meanfield", "--model", "@meanfield", "--tol=-1"], "tol must be positive"),
     (["vi", "meanfield", "--model", "@meanfield", "--tol=0"], "tol must be positive"),
     (["sample", "rejection", "--b", "0.1", "--samples", "1", "--seed", "1"], "b=0.1 needs about 4.14e+20 proposals"),
+    (["sample", "mh", "--samples", "100", "--seed", "1", "--out-csv", "@trace.csv"], "--out-csv needs --out-json"),
+    (["sample", "mh", "--samples", "100", "--seed", "1", "--out-json", "@trace.json"], "--out-json needs --out-csv"),
 ])
 def test_non_finite_or_degenerate_option_exits_2(tmp_path, capsys, argv, message):
     assert cli.main(_resolve(argv, tmp_path)) == 2

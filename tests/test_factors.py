@@ -88,6 +88,48 @@ class TestProduct:
         assert first.scope == second.scope
         assert_allclose(first.values, second.values, rtol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), cards=st.lists(st.integers(1, 9), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_every_entry_is_the_product_of_factor_entries(self, data, cards, seed):
+        # conftest's brute-force joint is built with product itself; this
+        # reference is not.  The multiplications run in the same order, so
+        # the entries are equal exactly.
+        rng = np.random.default_rng(seed)
+        card = {f"v{k}": c for k, c in enumerate(cards)}
+        factors = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            names = data.draw(st.permutations(list(card)))[:data.draw(st.integers(0, len(card)))]
+            factors.append(random_factor(rng, [(name, card[name]) for name in names]))
+        result = product(factors)
+        union = list(dict.fromkeys(name for f in factors for name in f.var_names))
+        assert result.scope == tuple((name, card[name]) for name in union)
+        for states in itertools.product(*(range(card[name]) for name in union)):
+            assignment = dict(zip(union, states))
+            expected = 1.0
+            for f in factors:
+                expected *= f.value_at(assignment)
+            assert result.value_at(assignment) == expected
+
+    def test_more_variables_than_einsum_labels(self):
+        # einsum has 52 axis labels; cardinality-1 variables take none.
+        factors = [DiscreteFactor([(f"x{i}", 1), ("y", 2)], [1.0, 2.0]) for i in range(60)]
+        result = product(factors)
+        assert result.var_names == ("x0", "y", *(f"x{i}" for i in range(1, 60)))
+        assert result.values.tolist() == [1.0, 2.0**60]
+
+    def test_table_over_the_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(factors_module, "MAX_TABLE_ENTRIES", 26)
+        f = DiscreteFactor([("a", 3), ("b", 3)], range(9))
+        g = DiscreteFactor([("c", 3), ("b", 3)], range(9))
+        scope = [("a", 3), ("b", 3), ("c", 3)]
+        message = r"^a table over \['a', 'b', 'c'\] would have 27 entries, over the limit of 26$"
+        with pytest.raises(ValidationError, match=message):
+            product([f, g])
+        with pytest.raises(ValidationError, match=message):
+            DiscreteFactor.ones(scope)
+        monkeypatch.setattr(factors_module, "MAX_TABLE_ENTRIES", 27)  # the cap is inclusive
+        assert product([f, g]).scope == DiscreteFactor.ones(scope).scope == tuple(scope)
+
 
 class TestMarginalise:
     def test_sum_over_pair(self):

@@ -2,6 +2,7 @@
 factor-analysis marginals."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -301,6 +302,22 @@ class TestIsing:
     def test_bad_entries(self):
         with pytest.raises(ValidationError):
             ising2_mle(np.array([[0, 1]]))
+
+    def test_tol_below_float_spacing_ends(self):
+        # Once lo and hi are adjacent floats, hi - lo stops shrinking.
+        data = np.array([[1, 1], [1, -1], [-1, -1], [1, 1]])
+
+        def timed_out(*_):
+            raise TimeoutError("the bisection did not end")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(3)
+        try:
+            theta = ising2_mle(data, tol=1e-300)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert abs(theta - ising2_mle(data)) < 1e-9
 
 
 class TestFactorAnalysis:

@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from pgmlab import samplers
@@ -42,6 +42,21 @@ from pgmlab.samplers import (
 from pgmlab.sequential import DiscreteHmm, alpha_filter
 
 from conftest import hmm_joint_table
+
+
+class TestSeededRng:
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_is_the_pcg64_generator_of_its_seed(self, seed):
+        rng, ref = SeededRng(seed), np.random.Generator(np.random.PCG64(seed))
+        assert isinstance(rng, np.random.Generator)
+        assert rng.seed == seed
+        assert_array_equal(rng.uniform(size=5), ref.uniform(size=5))
+        assert rng.random() == ref.random()
+        assert_array_equal(rng.standard_normal(4), ref.standard_normal(4))
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValidationError, match=r"^seed must be a non-negative integer, got -3$"):
+            SeededRng(-3)
 
 
 class TestInverseTransform:

@@ -78,6 +78,8 @@ FINITE = {
     "DiscreteFactor values": ("factor values", lambda v: DiscreteFactor([("a", 2)], [1.0, v])),
     "Gaussian1 mean": ("mean", lambda v: sequential.Gaussian1(v, 1.0)),
     **{f"KalmanModel {name}": (name, lambda v, name=name: _kalman(name, v)) for name in KALMAN},
+    "ising2_mle lo": ("lo", lambda v: learning.ising2_mle(SPINS, lo=v)),
+    "ising2_mle hi": ("hi", lambda v: learning.ising2_mle(SPINS, hi=v)),
 }
 
 # name -> a call taking a matrix that should be symmetric.
@@ -115,6 +117,42 @@ def test_symmetric_check_has_no_relative_slack(site):
         call([[1.0, 0.5], [0.5 + 1e-6, 1.0]])
 
 
+RBM = samplers.RbmModel([[0.0]], [0.0], [0.0])
+
+
+def _spins_from_csv(entry, tmp_path):
+    path = tmp_path / "spins.csv"
+    path.write_text(f"x1,x2\n1,{entry}\n")
+    return learning.load_spin_csv(path)
+
+
+# name -> (message, a call taking one entry of 0/1 or -1/+1 data).  The
+# entries are checked as given: 1.5 is refused, where an int cast would
+# truncate it to the allowed 1.
+ENTRIES = {
+    "BinaryDataset": ("entries must be 0 or 1", lambda v: learning.BinaryDataset(["a"], [[v], [1]])),
+    "bernoulli_mle": ("entries must be 0 or 1", lambda v: learning.bernoulli_mle([v, 1])),
+    "ising2_mle": ("entries must be -1 or \\+1", lambda v: learning.ising2_mle([[1, 1], [v, -1]])),
+    "gibbs_rbm v0": ("v0 must be a 0/1 vector", lambda v: samplers.gibbs_rbm(SeededRng(0), RBM, 1, [v])),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, math.nan])
+@pytest.mark.parametrize("site", sorted(ENTRIES))
+def test_entries_are_checked_before_an_integer_cast(site, value):
+    message, call = ENTRIES[site]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(value)
+
+
+def test_spin_csv_entries_must_be_spins(tmp_path):
+    # A CSV cell is read as an int first, so 1.5 fails at the reader.
+    with pytest.raises(ValidationError, match=r"^spin entries must be -1 or \+1$"):
+        _spins_from_csv(0, tmp_path)
+    with pytest.raises(ValidationError, match=r"cannot read row '1,1\.5'$"):
+        _spins_from_csv(1.5, tmp_path)
+
+
 def test_positive_passes_the_value_through():
     assert numerics.positive(3, "x") == 3
     v = np.array([1.0, 2.0])
@@ -150,6 +188,12 @@ class TestFactorOverflow:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"factor product over \['a', 'b'\] overflows"):
                 product(self._overflowing())
+
+    def test_overflow_times_zero_is_still_an_overflow(self):
+        big = DiscreteFactor([("a", 1)], [1e300])
+        zero = DiscreteFactor([("b", 1)], [0.0])
+        with pytest.raises(NumericError, match=r"factor product over \['a', 'b'\] overflows"):
+            product([big, big, zero])
 
     def test_sum_raises_numeric_error_without_warning(self):
         f = DiscreteFactor([("a", 2)], [1.7e308, 1.7e308])
