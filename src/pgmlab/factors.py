@@ -27,6 +27,9 @@ Scope = tuple[tuple[str, int], ...]
 # float64 entries, 128 MiB.
 MAX_TABLE_ENTRIES = 2**24
 
+# Most axes ``DiscreteFactor.ndarray`` gives: NumPy 1.x's limit (NumPy 2 allows 64).
+MAX_NDARRAY_AXES = 32
+
 
 def _validate_scope(scope: Iterable[tuple[str, int]]) -> Scope:
     out = []
@@ -66,7 +69,11 @@ class DiscreteFactor:
         object.__setattr__(self, "cards", tuple(card for _, card in scope))
 
     def ndarray(self) -> np.ndarray:
-        """Multi-dimensional view; axis k indexes the k-th scope variable."""
+        """Multi-dimensional view; axis k indexes the k-th scope variable.  A scope of more
+        than ``MAX_NDARRAY_AXES`` variables is refused: NumPy 1.x allows no more axes."""
+        if len(self.cards) > MAX_NDARRAY_AXES:
+            raise ValidationError(f"a factor over {len(self.cards)} variables has no array view "
+                                  f"(at most {MAX_NDARRAY_AXES} axes)")
         return self.values.reshape(self.cards, order="F")
 
     def value_at(self, assignment: Mapping[str, int]) -> float:
@@ -123,15 +130,22 @@ def product(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
     return DiscreteFactor.from_ndarray(scope, result)
 
 
+def _around(f: DiscreteFactor, var: str) -> tuple[np.ndarray, Scope]:
+    """The table as a (before, card, after) array whose middle axis is ``var``, three
+    axes whatever the width of the scope; and the scope without ``var``."""
+    if var not in f.var_names:
+        raise ValidationError(f"{var!r} not in scope")
+    axis = f.var_names.index(var)
+    table = f.values.reshape((math.prod(f.cards[:axis]), f.cards[axis], -1), order="F")
+    return table, f.scope[:axis] + f.scope[axis + 1:]
+
+
 def sum_marginalise(f: DiscreteFactor, var: str) -> DiscreteFactor:
     """Sum the table over the states of ``var`` and drop it from the scope."""
-    axis = f.var_names.index(var) if var in f.var_names else None
-    if axis is None:
-        raise ValidationError(f"{var!r} not in scope")
-    rest = tuple(s for s in f.scope if s[0] != var)
+    table, rest = _around(f, var)
     try:
         with np.errstate(over="raise"):
-            summed = f.ndarray().sum(axis=axis)
+            summed = table.sum(axis=1)
     except FloatingPointError:
         raise NumericError(f"summing {var!r} out of a factor overflows") from None
     return DiscreteFactor.from_ndarray(rest, summed)
@@ -144,16 +158,11 @@ def max_marginalise(f: DiscreteFactor, var: str) -> tuple[DiscreteFactor, np.nda
     the remaining scope (same layout convention) holding the maximising
     state of ``var``, ties broken to the lowest state index.
     """
-    if var not in f.var_names:
-        raise ValidationError(f"{var!r} not in scope")
-    axis = f.var_names.index(var)
-    rest = tuple(s for s in f.scope if s[0] != var)
-    nd = f.ndarray()
-    reduced = nd.max(axis=axis)
-    argmax = nd.argmax(axis=axis)  # first occurrence = lowest state
+    table, rest = _around(f, var)
+    argmax = table.argmax(axis=1)  # first occurrence = lowest state
     return (
-        DiscreteFactor.from_ndarray(rest, reduced),
-        np.asarray(argmax).reshape(-1, order="F"),
+        DiscreteFactor.from_ndarray(rest, table.max(axis=1)),
+        argmax.reshape(-1, order="F"),
     )
 
 
@@ -161,19 +170,15 @@ def condition(f: DiscreteFactor, assignment: Mapping[str, int]) -> DiscreteFacto
     """Slice the table at the given states; assigned variables leave the
     scope.  Variables in ``assignment`` that are not in the scope are
     ignored so one assignment can be applied across a factor collection."""
-    index: list[object] = []
-    rest: list[tuple[str, int]] = []
+    out = f
     for name, card in f.scope:
         if name in assignment:
             state = int(assignment[name])
             if not 0 <= state < card:
                 raise ValidationError(f"state {state} out of range for {name!r} (card {card})")
-            index.append(state)
-        else:
-            index.append(slice(None))
-            rest.append((name, card))
-    sliced = f.ndarray()[tuple(index)]
-    return DiscreteFactor.from_ndarray(tuple(rest), np.asarray(sliced))
+            table, rest = _around(out, name)
+            out = DiscreteFactor.from_ndarray(rest, table[:, state, :])
+    return out
 
 
 def normalise(f: DiscreteFactor) -> tuple[DiscreteFactor, float]:

@@ -230,7 +230,7 @@ def gaussian_mean_posterior(data: Sequence[float], sigma2: float, prior: Gaussia
 
 def _as_points(data) -> np.ndarray:
     """Shape data as (n_points, n_dims); 1-D input means n scalar points."""
-    points = np.asarray(data, dtype=float)
+    points = finite_array(data, "data")
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2:

@@ -359,7 +359,7 @@ def poisson_regression_log_pstar(
 ) -> Callable[[np.ndarray], float]:
     """Unnormalised log posterior for Poisson regression with rate
     exp(alpha x + beta) and N(0, 100) priors on both coefficients."""
-    xs = np.array([float(x) for x, _ in data])
+    xs = finite_array([x for x, _ in data], "data")
     ys = np.array([int(y) for _, y in data])
     if np.any(ys < 0):
         raise ValidationError("counts must be non-negative")

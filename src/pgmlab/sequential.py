@@ -394,7 +394,7 @@ def kalman_filter(model: KalmanModel, observations: Sequence[float]) -> list[Kal
     equivalent ratio P*D^2 / (C^2 P + D^2), which stays positive when
     K*C rounds to one in the near-noiseless-observation limit.
     """
-    obs = [float(v) for v in observations]
+    obs = finite_array(observations, "observations").tolist()
     if len(obs) != model.n_steps:
         raise ValidationError(f"expected {model.n_steps} observations, got {len(obs)}")
     state = model.prior

@@ -631,6 +631,10 @@ _EXAMPLE_FILES = {
     "@spins": "x1,x2\n-1,-1\n-1,1\n1,-1\n",
     "@values": "x\n1.0\n-1.0\n0.5\n",
     "@xy": "x,y\n0.1,1\n0.5,2\n1.0,3\n-0.5,0\n",
+    "@nan_values": "x\n1.0\nnan\n0.5\n",
+    "@inf_values": "x\n1.0\n-inf\n0.5\n",
+    "@nan_xy": "x,y\n0.1,1\nnan,2\n1.0,3\n",
+    "@inf_xy": "x,y\n0.1,1\ninf,2\n1.0,3\n",
 }
 
 _EXAMPLES = {
@@ -728,6 +732,12 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, argv, path):
     (["sample", "rejection", "--b", "0.1", "--samples", "1", "--seed", "1"], "b=0.1 needs about 4.14e+20 proposals"),
     (["sample", "mh", "--samples", "100", "--seed", "1", "--out-csv", "@trace.csv"], "--out-csv needs --out-json"),
     (["sample", "mh", "--samples", "100", "--seed", "1", "--out-json", "@trace.json"], "--out-json needs --out-csv"),
+    (["kalman", "filter", "--model", "@kalman", "--obs=nan,1"], "observations must be finite"),
+    (["kalman", "filter", "--model", "@kalman", "--obs=1,-inf"], "observations must be finite"),
+    (["fit", "score-matching", "--data", "@nan_values"], "data must be finite"),
+    (["fit", "score-matching", "--data", "@inf_values"], "data must be finite"),
+    (["sample", "mh", "--target", "poisson", "--data", "@nan_xy", "--seed", "1"], "data must be finite"),
+    (["sample", "mh", "--target", "poisson", "--data", "@inf_xy", "--seed", "1"], "data must be finite"),
 ])
 def test_non_finite_or_degenerate_option_exits_2(tmp_path, capsys, argv, message):
     assert cli.main(_resolve(argv, tmp_path)) == 2
@@ -755,6 +765,30 @@ def test_every_command_prints_strict_json(spec, tmp_path, capsys):
     argv = [spec.group, spec.name, *_EXAMPLES[spec.group, spec.name]]
     assert cli.main(_resolve(argv + (["--seed", "9"] if spec.seeded else []), tmp_path)) == 0
     json.loads(capsys.readouterr().out, parse_constant=_not_json)
+
+
+_WIDE = [f"x{i}" for i in range(70)]
+
+
+@pytest.mark.parametrize("argv, one_factor_code", [
+    (["fg", "marginal", "--var", "x0"], 2),
+    (["fg", "map"], 2),
+    (["fg", "eliminate", "--keep", "x0", "--order", ",".join(["y", *_WIDE[1:]])], 0),
+    (["fg", "condition", "--evidence", "x0=0"], 0),
+])
+@pytest.mark.parametrize("one_factor", [True, False])
+def test_71_variable_model_exits_0_or_2(write_model, capsys, argv, one_factor_code, one_factor):
+    # Cardinality-1 x_i keep every table small while a scope outgrows NumPy's axis limit:
+    # one factor over all 71 variables, or 70 pair factors whose product over y has 71.
+    factors = ([{"name": "f", "scope": [*_WIDE, "y"], "values": [1, 2]}] if one_factor else
+               [{"name": f"f{i}", "scope": [x, "y"], "values": [1, 2]} for i, x in enumerate(_WIDE)])
+    doc = {"variables": [{"name": x, "card": 1} for x in _WIDE] + [{"name": "y", "card": 2}], "factors": factors}
+    code = cli.main([*argv[:2], "--model", write_model("wide.model", doc), *argv[2:]])
+    err = capsys.readouterr().err
+    assert code == (one_factor_code if one_factor else 0), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err == "validation error: a factor over 71 variables has no array view (at most 32 axes)\n"
 
 
 def test_overflowing_elimination_is_a_numeric_error(write_model, capsys):

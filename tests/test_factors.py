@@ -53,6 +53,18 @@ class TestLayout:
         with pytest.raises(ValueError):
             f.values[0] = 7.0
 
+    def test_wide_scope(self):
+        # 80 cardinality-1 variables around b and c: more axes than NumPy allows.
+        ones = lambda tag: [(f"{tag}{i}", 1) for i in range(40)]
+        f = DiscreteFactor(ones("u") + [("b", 2)] + ones("w") + [("c", 3)], [1, 2, 3, 4, 5, 6])
+        assert list(sum_marginalise(f, "b").values) == [3, 7, 11]
+        reduced, argmax = max_marginalise(f, "c")
+        assert list(reduced.values) == [5, 6] and list(argmax) == [2, 2]
+        sliced = condition(f, {"c": 1, "u3": 0})
+        assert list(sliced.values) == [3, 4] and len(sliced.scope) == 80
+        with pytest.raises(ValidationError, match="a factor over 82 variables has no array view"):
+            f.ndarray()
+
 
 class TestProduct:
     def test_paper_triple_product_entry(self):

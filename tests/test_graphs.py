@@ -1,6 +1,7 @@
 """Structural and independence queries on directed and undirected graphs."""
 
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -320,6 +321,65 @@ class TestMinimalImaps:
         g = Dag([f"n{i}" for i in range(20)], {})
         with pytest.raises(ValidationError):
             minimal_directed_imap(oracle_from_dag(g), g.nodes, list(g.nodes))
+
+    @staticmethod
+    def _subset_search(oracle, ordering):
+        # Brute-force reference: the smallest predecessor subset S with n ⊥ (pre \ S) | S,
+        # tried by size and lexicographically within a size.
+        parents, pre = {}, []
+        for n in ordering:
+            subsets = (c for size in range(len(pre) + 1) for c in itertools.combinations(sorted(pre), size))
+            parents[n] = next(c for c in subsets
+                              if not set(pre) - set(c)
+                              or oracle(frozenset([n]), frozenset(pre) - set(c), frozenset(c)))
+            pre.append(n)
+        return parents
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(1, 9), directed=st.booleans())
+    def test_equals_subset_search(self, seed, n_nodes, directed):
+        rng = np.random.default_rng(seed)
+        g = random_dag(rng, n_nodes)
+        oracle = oracle_from_dag(g) if directed else oracle_from_ugm(skeleton(g))
+        order = [str(n) for n in rng.permutation(g.nodes)]
+        imap = minimal_directed_imap(oracle, g.nodes, order)
+        assert imap.parents == self._subset_search(oracle, order)
+
+    @staticmethod
+    def _counting(oracle):
+        calls = []
+
+        def counted(x, y, z):
+            calls.append((x, y, z))
+            return oracle(x, y, z)
+
+        return counted, calls
+
+    def test_oracle_calls_are_quadratic(self, chest_clinic):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            order = [str(n) for n in rng.permutation(chest_clinic.nodes)]
+            oracle, calls = self._counting(oracle_from_dag(chest_clinic))
+            minimal_directed_imap(oracle, chest_clinic.nodes, order)
+            assert len(calls) == 8 * 7 // 2
+
+    def test_dense_reverse_order_is_fast(self):
+        names = [f"n{i:02d}" for i in range(16)]
+        g = Dag.from_edges(names, itertools.combinations(names, 2))
+        oracle, calls = self._counting(oracle_from_dag(g))
+
+        def timed_out(*_):
+            raise TimeoutError("the I-map search did not end within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(1)
+        try:
+            imap = minimal_directed_imap(oracle, names, names[::-1])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(calls) == 16 * 15 // 2
+        assert imap.parents == {n: tuple(names[k + 1:]) for k, n in enumerate(names)}
 
 
 class TestBlanketsToGraph:
