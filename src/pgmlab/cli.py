@@ -11,6 +11,7 @@ output early (``pgmlab ... | head -3``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -493,10 +494,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that every ``run`` and ``main`` call in this process
+    shares; ``build_parser`` itself still returns a new one per call."""
+    return build_parser()
+
+
 def run(argv) -> dict:
     """Parse arguments, execute the command, and return the envelope."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _execute(_parser().parse_args(argv))
+
+
+def _execute(args: argparse.Namespace) -> dict:
     spec = args.spec
     start = time.perf_counter()
     echo, outputs = spec.handler(args, spec.section and _load_model(args.model, spec.section))
@@ -514,9 +524,9 @@ def run(argv) -> dict:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        envelope = run(argv)
+        args = _parser().parse_args(argv)
+        envelope = _execute(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -529,9 +539,8 @@ def main(argv=None) -> int:
     except PgmlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    table = "--table" in argv
     try:
-        _print_envelope(envelope, table)
+        _print_envelope(envelope, args.table)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     except BrokenPipeError:
         return EXIT_BROKEN_PIPE

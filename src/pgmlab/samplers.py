@@ -79,7 +79,8 @@ def laplace_logpdf(x, b: float):
 _REJECTION_BLOCK = 8192
 
 #: Most proposals (n M expected) a ``rejection_normal_via_laplace`` call may
-#: need: 10**8 take 3-6 s on a 2-vCPU Xeon VM, at 30-60 ns a proposal.
+#: need: 10**8 take 3-6 s on a 2-vCPU Xeon VM, at 30-60 ns a proposal.  Also
+#: the most a ``rejection_sample`` call may make.
 _MAX_PROPOSALS = 10**8
 
 
@@ -109,7 +110,8 @@ def rejection_sample(
 
     The caller asserts m >= sup p*/q; a proposal where the acceptance
     probability exceeds one beyond 1e-9 triggers a bound-violation error.
-    Returns the samples and the empirical acceptance rate.
+    A call still short of ``n`` after ``_MAX_PROPOSALS`` proposals raises a
+    ``NumericError``.  Returns the samples and the empirical acceptance rate.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -117,6 +119,8 @@ def rejection_sample(
     accepted: list[float] = []
     proposals = 0
     while len(accepted) < n:
+        if proposals == _MAX_PROPOSALS:
+            raise NumericError(f"{len(accepted)} of n={n} samples accepted after {proposals} proposals")
         x = propose(rng)
         proposals += 1
         log_acc = log_p_star(x) - log_q(x) - log_m

@@ -372,6 +372,71 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "lambda2" in out and "command" in out
 
+    def test_abbreviated_table_flag(self, capsys):
+        # argparse takes --tab for --table, and --var for --variances.
+        assert cli.main(["--tab", "vi", "klfit", "--var", "1,4"]) == 0
+        assert capsys.readouterr().out == "command: vi klfit\nlambda2: 1.6\n"
+
+
+def _without_elapsed(out: str) -> dict:
+    env = json.loads(out)
+    del env["elapsed_seconds"]
+    return env
+
+
+class TestRepeatedMain:
+    """One process calls ``cli.main`` again and again, as the tests, the
+    benchmark and a notebook do; no call may see what an earlier one parsed."""
+
+    MH = ["sample", "mh", "--samples", "50", "--seed", "3"]
+    KLFIT = ["vi", "klfit", "--variances", "1,4"]
+
+    def test_explicit_option_then_default(self, capsys):
+        envelopes = []
+        for extra in ([], ["--dim", "3"], []):
+            assert cli.main(self.MH + extra) == 0
+            envelopes.append(_without_elapsed(capsys.readouterr().out))
+        assert len(envelopes[1]["outputs"]["mean"]) == 3
+        assert len(envelopes[2]["outputs"]["mean"]) == 2
+        assert envelopes[2] == envelopes[0]
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert cli.main(self.MH) == 0
+        expected = _without_elapsed(capsys.readouterr().out)
+        # The bad --seed comes after --dim has been parsed.
+        assert cli.main(["sample", "mh", "--dim", "5", "--seed", "x"]) == 4
+        assert cli.main(["vi", "klfit"]) == 4
+        assert capsys.readouterr().out == ""
+        assert cli.main(self.MH) == 0
+        assert _without_elapsed(capsys.readouterr().out) == expected
+
+    def test_table_then_json(self, capsys):
+        assert cli.main(["--table", *self.KLFIT]) == 0
+        assert capsys.readouterr().out == "command: vi klfit\nlambda2: 1.6\n"
+        assert cli.main(self.KLFIT) == 0
+        assert _without_elapsed(capsys.readouterr().out) == {
+            "command": "vi klfit", "inputs": {"variances": [1.0, 4.0]},
+            "outputs": {"lambda2": 1.6}, "seed": None}
+
+    def test_help_then_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "mh", "--help"])
+        assert exc.value.code == 0 and "--dim" in capsys.readouterr().out
+        assert cli.main(["--table", *self.KLFIT]) == 0
+        assert capsys.readouterr().out == "command: vi klfit\nlambda2: 1.6\n"
+
+    @pytest.mark.parametrize("table", [[], ["--table"]])
+    def test_identical_calls_print_identical_bytes(self, capsys, table):
+        outs = []
+        for _ in range(2):
+            assert cli.main([*table, *self.MH]) == 0
+            out = capsys.readouterr().out
+            outs.append([line for line in out.splitlines() if '"elapsed_seconds"' not in line])
+        assert outs[0] == outs[1]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
 
 CHAIN_MODEL = {
     "variables": [{"name": f"y{i}", "card": 2} for i in range(1, 6)],

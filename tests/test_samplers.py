@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import signal
 from collections import Counter
 
 import numpy as np
@@ -114,6 +115,33 @@ class TestRejection:
         with pytest.raises(NumericError, match="acceptance inf"):
             rejection_sample(SeededRng(10), lambda x: 0.0, lambda r: float(r.normal()),
                              lambda x: -800.0, 1.0, 1)
+
+    def test_target_that_never_accepts_ends(self, monkeypatch):
+        # p* = 0 everywhere: no proposal is ever accepted.
+        monkeypatch.setattr(samplers, "_MAX_PROPOSALS", 1000)
+
+        def timed_out(*_):
+            raise TimeoutError("rejection_sample did not end")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(3)
+        try:
+            with pytest.raises(NumericError, match="0 of n=1 samples accepted after 1000 proposals"):
+                rejection_sample(SeededRng(11), lambda x: -math.inf, lambda r: float(r.uniform()),
+                                 lambda x: 0.0, 1.0, 1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_call_needing_exactly_the_cap_ends(self, monkeypatch):
+        # q = p* accepts every proposal, so n samples take n proposals.
+        args = (standard_normal_logpdf, lambda r: float(r.normal()), standard_normal_logpdf, 1.0, 500)
+        monkeypatch.setattr(samplers, "_MAX_PROPOSALS", 500)
+        draws, rate = rejection_sample(SeededRng(9), *args)
+        assert len(draws) == 500 and rate == 1.0
+        monkeypatch.setattr(samplers, "_MAX_PROPOSALS", 499)
+        with pytest.raises(NumericError, match="499 of n=500"):
+            rejection_sample(SeededRng(9), *args)
 
     @pytest.mark.parametrize("seed, b, n", [
         (40, 1.0, 1), (41, 1.0, 300), (42, 0.3, 50), (43, 0.5, 7), (44, 2.0, 200), (45, 7.5, 30),
