@@ -177,7 +177,8 @@ def _cmd_fg_eliminate(args, fg):
     if evidence:
         fg, _ = messages.condition_factor_graph(fg, evidence)
     keep = _parse_names(args.keep)
-    order = _parse_names(args.order) if args.order else sorted(set(fg.var_names) - set(keep))
+    used = [v for v in fg.var_names if fg.factor_neighbors(v)]  # an unused variable has nothing to eliminate
+    order = _parse_names(args.order) if args.order else sorted(set(used) - set(keep))
     result, report = eliminate(list(fg.factors.values()), keep, order)
     outputs = {
         "scope": list(result.var_names),
@@ -312,7 +313,7 @@ def _cmd_fit_ising2(args, _):
 def _cmd_sample_mh(args, _):
     import numpy as np
 
-    from . import learning, samplers
+    from . import learning, numerics, samplers
 
     rng = samplers.SeededRng(args.seed)
     if bool(args.out_csv) != bool(args.out_json):
@@ -321,7 +322,7 @@ def _cmd_sample_mh(args, _):
     if args.target == "normal":
         # th.dot(th) calls the same BLAS dot as th @ th, at a third of the cost.
         log_p = lambda th: -0.5 * float(th.dot(th))
-        init = np.zeros(args.dim)
+        init = np.zeros(numerics.count(args.dim, "dim", least=0))
     else:  # poisson regression on (x, y) CSV columns
         if not args.data:
             raise ValidationError("--data is required for the poisson target")

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .numerics import finite_array
+from .numerics import count, finite_array
 
 Scope = tuple[tuple[str, int], ...]
 
@@ -36,9 +36,10 @@ def _validate_scope(scope: Iterable[tuple[str, int]]) -> Scope:
     names = set()
     for name, card in scope:
         name = str(name)
-        card = int(card)
-        if card < 1:
-            raise ValidationError(f"cardinality of {name!r} must be >= 1")
+        try:
+            card = count(card, "cardinality")
+        except ValidationError as exc:
+            raise ValidationError(f"variable {name!r}: {exc}") from None
         if name in names:
             raise ValidationError(f"duplicate variable {name!r} in scope")
         names.add(name)

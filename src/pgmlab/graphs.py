@@ -6,8 +6,8 @@ determinism (tie-breaking, canonical output) the lexicographic order of the
 names is used.
 
 ``minimal_separator`` is the one exponential search: it tries subsets by
-size, so a configurable node cap guards it.  ``minimal_directed_imap`` makes
-n(n-1)/2 oracle calls and keeps the same cap as part of its contract.
+size, so the fixed ``DEFAULT_NODE_CAP`` guards it.  ``minimal_directed_imap``
+makes n(n-1)/2 oracle calls and keeps the same cap as part of its contract.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import InseparableError, ValidationError
 
 NodeSet = frozenset[str]
 
-#: Default cap on the node count for ``minimal_separator`` and ``minimal_directed_imap``.
+#: Cap on the node count for ``minimal_separator`` and ``minimal_directed_imap``.
 DEFAULT_NODE_CAP = 16
 
 
@@ -376,7 +376,6 @@ def minimal_directed_imap(
     oracle: IndependenceOracle,
     nodes: Sequence[str],
     ordering: Sequence[str],
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> Dag:
     """Construct the minimal directed I-map for the given variable ordering.
 
@@ -394,8 +393,8 @@ def minimal_directed_imap(
     nodes = [str(n) for n in nodes]
     if sorted(ordering) != sorted(nodes):
         raise ValidationError("ordering must be a permutation of nodes")
-    if len(nodes) > node_cap:
-        raise ValidationError(f"node count {len(nodes)} exceeds search cap {node_cap}")
+    if len(nodes) > DEFAULT_NODE_CAP:
+        raise ValidationError(f"node count {len(nodes)} exceeds search cap {DEFAULT_NODE_CAP}")
     parents: dict[str, tuple[str, ...]] = {}
     pre: list[str] = []
     for n in ordering:
@@ -443,7 +442,6 @@ def minimal_separator(
     ugm: Ugm,
     x: Iterable[str],
     y: Iterable[str],
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> NodeSet:
     """A smallest set A with x ⊥ y | A, found by exhaustive subset search.
 
@@ -453,8 +451,8 @@ def minimal_separator(
     """
     x, y = _as_nodeset(x), _as_nodeset(y)
     _check_query_sets(set(ugm.nodes), x, y, frozenset())
-    if len(ugm.nodes) > node_cap:
-        raise ValidationError(f"node count {len(ugm.nodes)} exceeds search cap {node_cap}")
+    if len(ugm.nodes) > DEFAULT_NODE_CAP:
+        raise ValidationError(f"node count {len(ugm.nodes)} exceeds search cap {DEFAULT_NODE_CAP}")
     for a in x:
         for b in y:
             if ugm.has_edge(a, b):

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .factors import DiscreteFactor, condition
+from .factors import DiscreteFactor, _validate_scope, condition
 from .graphs import Dag
 
 Edge = tuple[str, str]  # (from node id, to node id)
@@ -41,13 +41,10 @@ class FactorGraph:
     factors: Mapping[str, DiscreteFactor]
 
     def __init__(self, variables: Sequence[tuple[str, int]], factors: Mapping[str, DiscreteFactor]):
-        vars_tuple = tuple((str(n), int(c)) for n, c in variables)
-        names = [n for n, _ in vars_tuple]
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate variable names")
+        vars_tuple = _validate_scope(variables)
         cards = dict(vars_tuple)
         fdict: dict[str, DiscreteFactor] = {}
-        adjacent: dict[str, list[str]] = {n: [] for n in names}
+        adjacent: dict[str, list[str]] = {n: [] for n in cards}
         for fname, f in factors.items():
             fname = str(fname)
             if fname in cards or fname in fdict:

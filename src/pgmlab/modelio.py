@@ -65,11 +65,14 @@ def _expect(mapping: dict, key: str, where: str):
 
 
 def _number(mapping: dict, key: str, where: str, kind=float):
-    """A required scalar field converted with ``kind`` (``int`` or ``float``)."""
+    """A required scalar field converted with ``kind``, ``int`` (which refuses 2.7) or ``float``."""
     value = _expect(mapping, key, where)
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value)
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return number
+    except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"
         raise ValidationError(f"{where}: field {key!r} must be {noun}, got {value!r}") from None
 

@@ -9,6 +9,7 @@ positive.  Newton steps solve through a Cholesky factor.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,6 +56,18 @@ def positive(x, what: str):
     if not (np.isfinite(x).all() if array else math.isfinite(x)):
         raise ValidationError(f"{what} must be finite" + ("" if array else f", got {x}"))
     return x
+
+
+def count(n, what: str, least: int = 1) -> int:
+    """``n`` as an int once it is an integer of at least ``least``, 1 or 0;
+    2.5 and NaN are refused rather than truncated.  Builds no message unless it fails."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        value = None
+    if value is None or value < least:
+        raise ValidationError(f"{what} must be a {'positive' if least == 1 else 'non-negative'} integer, got {n!r}")
+    return value
 
 
 def check_symmetric(a: np.ndarray, what: str) -> None:
@@ -105,6 +118,7 @@ def power_method(
     """
     sigma = finite_array(sigma, "matrix")
     check_symmetric(sigma, "matrix")
+    max_iters = count(max_iters, "max_iters")
     positive(tol, "tol")
     w = finite_array(w0, "w0").reshape(-1)
     norm = np.linalg.norm(w)
@@ -131,8 +145,6 @@ def sym_eigendecomposition(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     largest-magnitude component is positive.
     """
     a = finite_array(c, "matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError("matrix must be square")
     check_symmetric(a, "matrix")
     eigvals, vecs = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(-eigvals, kind="stable")

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .numerics import entries_in, finite_array, positive
+from .numerics import count, entries_in, finite_array, positive
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -28,9 +28,7 @@ class SeededRng(np.random.Generator):
     results."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+        self.seed = count(seed, "seed", least=0)
         super().__init__(np.random.PCG64(self.seed))
 
 
@@ -113,8 +111,7 @@ def rejection_sample(
     A call still short of ``n`` after ``_MAX_PROPOSALS`` proposals raises a
     ``NumericError``.  Returns the samples and the empirical acceptance rate.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = count(n, "n")
     log_m = math.log(positive(m, "m"))
     accepted: list[float] = []
     proposals = 0
@@ -174,8 +171,7 @@ def rejection_normal_via_laplace(rng: SeededRng, n: int, b: float = 1.0) -> tupl
     call expecting more than ``_MAX_PROPOSALS`` proposals is refused.
     """
     m = laplace_normal_bound(b)
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = count(n, "n")
     if n * m > _MAX_PROPOSALS:
         raise ValidationError(f"b={b} needs about {n * m:.3g} proposals for n={n} samples, "
                               f"over the limit of {_MAX_PROPOSALS:.0e}")
@@ -218,8 +214,7 @@ def importance_expectation(
 ) -> float:
     """Plain importance-sampling estimate of E_p[g]:
     mean of g(x) exp(log p(x) - log q(x)) under x ~ q."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = count(n, "n")
     total = 0.0
     for _ in range(n):
         x = propose(rng)
@@ -237,8 +232,7 @@ def gaussian_tail_weights(rng: SeededRng, n: int, threshold: float = 5.0) -> np.
     Evaluated in closed form, w(x) = exp(-x^2/2 + x - threshold) / sqrt(2 pi),
     which avoids cancellation between the two log densities.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = count(n, "n")
     finite_array(threshold, "threshold")
     x = threshold + sample_exponential(rng, 1.0, size=n)
     return np.exp(-0.5 * x * x + x - threshold) / math.sqrt(2.0 * math.pi)
@@ -262,8 +256,7 @@ def self_normalised_importance(
     estimate is sum(W h) with W the normalised weights, and the returned
     z_hat = mean(w) estimates the normalising constant E_base[prod g_i].
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = count(n, "n")
     weights = np.empty(n)
     values = np.empty(n)
     for k in range(n):
@@ -321,11 +314,9 @@ def mh(
     current state into the trace.  The first ``warmup`` states are
     discarded.
     """
-    if num_samples < 1:
-        raise ValidationError("num_samples must be >= 1")
+    num_samples = count(num_samples, "num_samples")
     positive(vari, "vari")
-    if warmup < 0:
-        raise ValidationError("warmup must be >= 0")
+    warmup = count(warmup, "warmup", least=0)
     current = finite_array(init, "init").reshape(-1)
     if current.size == 0:
         raise ValidationError("init must not be empty")
@@ -465,8 +456,7 @@ def gibbs_rbm(rng: SeededRng, model: RbmModel, sweeps: int, v0=None) -> np.ndarr
     ``n_visible`` uniforms; they are drawn up to ``_GIBBS_BLOCK`` sweeps at
     a time, which PCG64 yields in the same order as one draw per half-sweep.
     """
-    if sweeps < 1:
-        raise ValidationError("sweeps must be >= 1")
+    sweeps = count(sweeps, "sweeps")
     v = _check_binary(np.zeros(model.n_visible) if v0 is None else v0, model.n_visible, "v0")
     n_hidden = model.n_hidden
     out = np.empty((sweeps, model.n_visible), dtype=int)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, NumericError, ValidationError
-from .numerics import finite_array, float_array, positive
+from .numerics import count, finite_array, float_array, positive
 
 _ROW_TOL = 1e-9
 
@@ -79,8 +79,7 @@ class DiscreteHmm:
 
     @classmethod
     def homogeneous(cls, prior, transition, emission, n_steps: int) -> "DiscreteHmm":
-        if n_steps < 1:
-            raise ValidationError("n_steps must be >= 1")
+        n_steps = count(n_steps, "n_steps")
         return cls(prior, [transition] * (n_steps - 1), [emission] * n_steps)
 
     @property
@@ -272,8 +271,7 @@ def ffbs_paths(hmm: DiscreteHmm, observations: Sequence[int], rng, n_paths: int)
 
     Returns an integer array of shape (n_paths, n_steps).
     """
-    if n_paths < 1:
-        raise ValidationError("n_paths must be >= 1")
+    n_paths = count(n_paths, "n_paths")
     obs = _check_observations(hmm, observations)
     n = len(obs)
     if n != hmm.n_steps:
@@ -325,7 +323,7 @@ def gaussian_product(a: Gaussian1, b: Gaussian1) -> Gaussian1:
 def gaussian_linear_marginal(prior: Gaussian1, a: float, b: float) -> Gaussian1:
     """Distribution of a*x + b*noise for x ~ prior and unit Gaussian noise."""
     if b < 0:
-        raise ValidationError("noise scale b must be >= 0")
+        raise ValidationError("noise scale b must be non-negative")
     return Gaussian1(a * prior.mean, a * a * prior.var + b * b)
 
 

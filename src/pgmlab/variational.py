@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .numerics import check_symmetric, finite_array, float_array, positive
+from .numerics import check_symmetric, count, finite_array, float_array, positive
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ def mean_field_solve(
     budget runs out.  Variances are fixed at 1/Lambda_ii from the first
     sweep on, so convergence is measured on the means only.
     """
-    if sweeps < 1:
-        raise ValidationError("sweeps must be >= 1")
+    sweeps = count(sweeps, "sweeps")
     positive(tol, "tol")
     state = init
     for _ in range(sweeps):

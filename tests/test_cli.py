@@ -118,6 +118,14 @@ class TestModelDocuments:
         with pytest.raises(ValidationError, match="line"):
             parse_model(str(path))
 
+    def test_integral_float_field_is_accepted(self):
+        # JSON has one number type: 2.0 is the integer 2; 2.7 is refused (see
+        # test_non_numeric_scalar_names_the_field).
+        doc = parse_model_dict({"variables": [{"name": "a", "card": 2.0}],
+                                "hmm": {**HMM_MODEL["hmm"], "steps": 3.0}})
+        assert doc.variables == [("a", 2)] and type(doc.variables[0][1]) is int
+        assert doc.hmm.n_steps == 3
+
     def test_homogeneous_hmm_needs_steps(self):
         with pytest.raises(ValidationError, match="steps"):
             parse_model_dict({"hmm": {"prior": [1.0], "transitions": [[1.0]],
@@ -195,6 +203,15 @@ class TestFactorGraphCommands:
                         "--keep", "x2", "--order", "x4,x5,x3",
                         "--evidence", "x1=0,x6=1"])
         assert env2["outputs"]["peak_entries"] == 16
+
+    def test_eliminate_default_order_skips_an_unused_variable(self, write_model):
+        model = write_model("iso.model", {
+            "variables": [{"name": "a", "card": 2}, {"name": "b", "card": 2}, {"name": "u", "card": 3}],
+            "factors": [{"name": "f", "scope": ["a", "b"], "values": [1, 2, 3, 4]}]})
+        default = cli.run(["fg", "eliminate", "--model", model, "--keep", "a"])
+        explicit = cli.run(["fg", "eliminate", "--model", model, "--keep", "a", "--order", "b"])
+        assert {**default, "elapsed_seconds": 0} == {**explicit, "elapsed_seconds": 0}
+        assert default["outputs"]["a"] == [0.4, 0.6]
 
     def test_condition_emits_reduced_model(self, write_model):
         env = cli.run(["fg", "condition", "--model", write_model("t.model", TREE_MODEL),
@@ -643,6 +660,12 @@ def test_eliminate_star_rejected_before_allocating(tmp_path):
      "A must be finite"),
     ({"kalman": {**KALMAN_MODEL["kalman"], "C": [1.0, math.inf]}}, ["kalman", "filter", "--obs=1,2"],
      "C must be finite"),
+    # An integer field is checked as given: 2.9 is refused, not truncated to 2.
+    ({"hmm": {**HMM_MODEL["hmm"], "steps": 2.9}}, ["hmm", "filter", "--obs", "1"],
+     "'steps' must be an integer, got 2.9"),
+    ({"variables": [{"name": "a", "card": 2.7}]}, ["fg", "marginal", "--var", "a"],
+     "'card' must be an integer, got 2.7"),
+    ({"variables": [{"name": "a", "card": math.inf}]}, ["fg", "marginal", "--var", "a"], "'card'"),
 ])
 def test_non_numeric_scalar_names_the_field(write_model, capsys, doc, argv, field):
     path = write_model("bad.model", doc)
@@ -650,6 +673,18 @@ def test_non_numeric_scalar_names_the_field(write_model, capsys, doc, argv, fiel
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("card", [-1, 0])
+@pytest.mark.parametrize("argv", [["fg", "map"], ["fg", "marginal", "--var", "a", "--evidence", "c=0"],
+                                  ["fg", "condition", "--evidence", "c=0"]])
+def test_unused_variable_cardinality_exits_2(write_model, capsys, argv, card):
+    # No factor mentions b, so only the variable list can refuse its cardinality.
+    doc = {"variables": [{"name": "a", "card": 2}, {"name": "b", "card": card}, {"name": "c", "card": 2}],
+           "factors": [{"name": "f", "scope": ["a", "c"], "values": [1, 2, 3, 4]}]}
+    assert cli.main(argv[:2] + ["--model", write_model("card.model", doc)] + argv[2:]) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: variable 'b': cardinality must be a positive integer, got {card}\n"
 
 
 def test_closed_pipe_exits_1_without_traceback(tmp_path):
@@ -803,6 +838,7 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, argv, path):
     (["fit", "score-matching", "--data", "@inf_values"], "data must be finite"),
     (["sample", "mh", "--target", "poisson", "--data", "@nan_xy", "--seed", "1"], "data must be finite"),
     (["sample", "mh", "--target", "poisson", "--data", "@inf_xy", "--seed", "1"], "data must be finite"),
+    (["sample", "mh", "--dim", "-1", "--seed", "1"], "dim must be a non-negative integer, got -1"),
 ])
 def test_non_finite_or_degenerate_option_exits_2(tmp_path, capsys, argv, message):
     assert cli.main(_resolve(argv, tmp_path)) == 2

@@ -1,8 +1,10 @@
-"""Every parameter check goes through the three checkers in ``numerics``:
-NaN and infinities are rejected wherever a positive number, a finite array
-or a symmetric matrix is required, and the error names the parameter."""
+"""Every parameter check goes through the checkers in ``numerics``: NaN and
+infinities are rejected wherever a positive number, a finite array or a
+symmetric matrix is required; a count, a cardinality or a seed must be an
+integer, never truncated; and the error names the parameter."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from pgmlab import learning, numerics, samplers, sequential, variational
 from pgmlab.errors import NumericError, ValidationError
 from pgmlab.factors import DiscreteFactor, product, sum_marginalise
 from pgmlab.graphs import Dag
+from pgmlab.messages import FactorGraph
 from pgmlab.samplers import SeededRng
 
 SPD = [[2.0, 0.5], [0.5, 1.0]]
@@ -118,6 +121,85 @@ def test_symmetric_check_has_no_relative_slack(site):
 
 
 RBM = samplers.RbmModel([[0.0]], [0.0], [0.0])
+HMM = sequential.DiscreteHmm.homogeneous([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.7, 0.3], [0.1, 0.9]], 2)
+NORMAL = samplers.standard_normal_logpdf
+
+
+def _draw_normal(rng):
+    return float(rng.normal())
+
+
+# name -> (what the error names, a call taking the value under test in place
+# of an integer of at least 1).
+COUNTS = {
+    "rejection_sample n": ("n", lambda n: samplers.rejection_sample(
+        SeededRng(0), NORMAL, _draw_normal, NORMAL, 1.0, n)),
+    "rejection_normal_via_laplace n": ("n", lambda n: samplers.rejection_normal_via_laplace(SeededRng(0), n)),
+    "importance_expectation n": ("n", lambda n: samplers.importance_expectation(
+        SeededRng(0), lambda x: x, NORMAL, _draw_normal, NORMAL, n)),
+    "gaussian_tail_weights n": ("n", lambda n: samplers.gaussian_tail_weights(SeededRng(0), n)),
+    "self_normalised_importance n": ("n", lambda n: samplers.self_normalised_importance(
+        SeededRng(0), sum, lambda r: [_draw_normal(r)], [lambda x: 1.0], n)),
+    "mh num_samples": ("num_samples", lambda n: samplers.mh(SeededRng(0), lambda th: 0.0, [0.0], n)),
+    "gibbs_rbm sweeps": ("sweeps", lambda n: samplers.gibbs_rbm(SeededRng(0), RBM, n)),
+    "DiscreteHmm.homogeneous n_steps": ("n_steps", lambda n: sequential.DiscreteHmm.homogeneous(
+        HMM.prior, HMM.transitions[0], HMM.emissions[0], n)),
+    "ffbs_paths n_paths": ("n_paths", lambda n: sequential.ffbs_paths(HMM, [0, 1], SeededRng(0), n)),
+    "mean_field_solve sweeps": ("sweeps", lambda n: variational.mean_field_solve(TARGET, MF_INIT, sweeps=n)),
+    "power_method max_iters": ("max_iters", lambda n: numerics.power_method(SPD, [1.0, 0.0], max_iters=n)),
+    "DiscreteFactor cardinality": ("variable 'a': cardinality", lambda n: DiscreteFactor.ones([("a", n)])),
+    "FactorGraph cardinality": ("variable 'b': cardinality", lambda n: FactorGraph([("a", 2), ("b", n)], {})),
+}
+
+# The same for an integer of at least 0.
+OFFSETS = {
+    "SeededRng seed": ("seed", SeededRng),
+    "mh warmup": ("warmup", lambda n: samplers.mh(SeededRng(0), lambda th: 0.0, [0.0], 5, warmup=n)),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, math.nan])
+@pytest.mark.parametrize("site", sorted(COUNTS))
+def test_count_must_be_a_positive_integer(site, value):
+    name, call = COUNTS[site]
+    with pytest.raises(ValidationError, match=f"^{name} must be a positive integer, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, math.nan])
+@pytest.mark.parametrize("site", sorted(OFFSETS))
+def test_offset_must_be_a_non_negative_integer(site, value):
+    name, call = OFFSETS[site]
+    with pytest.raises(ValidationError, match=f"^{name} must be a non-negative integer, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", sorted(COUNTS) + sorted(OFFSETS))
+def test_numpy_integer_is_accepted(site):
+    _, call = {**COUNTS, **OFFSETS}[site]
+    call(np.int64(200))
+
+
+def test_count_returns_a_python_int():
+    value = numerics.count(np.int64(3), "n")
+    assert value == 3 and type(value) is int
+    assert type(SeededRng(np.uint32(7)).seed) is int
+
+
+def test_no_integer_cast_truncates():
+    # An int() cast before the check used to turn each of these into a valid value.
+    with pytest.raises(ValidationError, match=r"^variable 'a': cardinality must be a positive integer, got 2\.7$"):
+        DiscreteFactor([("a", 2.7)], [1, 2])
+    with pytest.raises(ValidationError, match=r"^variable 'b': cardinality must be a positive integer, got 2\.7$"):
+        FactorGraph([("a", 2), ("b", 2.7)], {})
+    with pytest.raises(ValidationError, match=r"^seed must be a non-negative integer, got 1\.5$"):
+        SeededRng(1.5)
+
+
+def test_factor_graph_refuses_a_duplicate_variable():
+    with pytest.raises(ValidationError, match=r"^duplicate variable 'a'"):
+        FactorGraph([("a", 2), ("a", 2)], {})
+
 
 
 def _spins_from_csv(entry, tmp_path):
