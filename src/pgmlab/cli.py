@@ -144,12 +144,10 @@ def _cmd_fg_marginal(args, fg):
 
     evidence = _parse_evidence(args.evidence)
     if evidence:
-        marginals = messages.conditioned_sum_product(fg, evidence)
-    else:
-        marginals = messages.sum_product(fg).marginals
-    if args.var not in marginals:
+        fg, _ = messages.condition_factor_graph(fg, evidence)
+    if args.var not in fg.var_names:
         raise ValidationError(f"no marginal for {args.var!r} (observed or unknown)")
-    return {"var": args.var, "evidence": evidence}, {args.var: marginals[args.var]}
+    return {"var": args.var, "evidence": evidence}, {args.var: messages.marginal(fg, args.var)}
 
 
 def _cmd_fg_map(args, fg):

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .numerics import count, finite_array
+from .numerics import count, float_array
 
 Scope = tuple[tuple[str, int], ...]
 
@@ -56,13 +56,15 @@ class DiscreteFactor:
 
     def __init__(self, scope: Iterable[tuple[str, int]], values):
         scope = _validate_scope(scope)
-        arr = finite_array(values, "factor values").reshape(-1)
+        arr = float_array(values, "factor values", copy=True).reshape(-1)  # the caller keeps theirs
         size = math.prod(c for _, c in scope)
-        if arr.size != size:
-            raise ValidationError(f"expected {size} values for scope {scope}, got {arr.size}")
-        if np.any(arr < 0):
+        # NaN fails ``min() >= 0``; only a refused table works out which rule it breaks.
+        if not (arr.size == size and arr.min() >= 0.0 and arr.max() < math.inf):
+            if not np.isfinite(arr).all():
+                raise ValidationError("factor values must be finite")
+            if arr.size != size:
+                raise ValidationError(f"expected {size} values for scope {scope}, got {arr.size}")
             raise ValidationError("factor values must be non-negative")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "values", arr)
@@ -174,8 +176,8 @@ def condition(f: DiscreteFactor, assignment: Mapping[str, int]) -> DiscreteFacto
     out = f
     for name, card in f.scope:
         if name in assignment:
-            state = int(assignment[name])
-            if not 0 <= state < card:
+            state = count(assignment[name], f"state of {name!r}", least=0)
+            if state >= card:
                 raise ValidationError(f"state {state} out of range for {name!r} (card {card})")
             table, rest = _around(out, name)
             out = DiscreteFactor.from_ndarray(rest, table[:, state, :])

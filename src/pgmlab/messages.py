@@ -6,11 +6,12 @@ max entry of one with the removed scale kept in a log term, so long chains
 cannot underflow while :attr:`Message.linear` recovers the worked numbers.
 Max-sum messages hold log values plus argmax tables for backtracking.
 Each connected component is a tree of its own, and the log partition
-function of a forest is the sum over them.  :func:`conditioned_sum_product`
-and :func:`max_sum_map` accept forests, such as a tree split by evidence on
-an interior variable; :func:`sum_product` and :func:`factor_joint` need one
-connected tree.  Loops are always rejected.  Messages toward leaf factor
-nodes are never computed.
+function of a forest is the sum over them.  :func:`conditioned_sum_product`,
+:func:`marginal` and :func:`max_sum_map` accept forests, such as a tree split
+by evidence on an interior variable; :func:`sum_product` and
+:func:`factor_joint` need one connected tree.  Loops are always rejected.
+Messages toward leaf factor nodes are never computed, and :func:`marginal`
+and :func:`max_sum_map` send only the messages that flow toward one root.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .factors import DiscreteFactor, _validate_scope, condition
 from .graphs import Dag
+from .numerics import count
 
 Edge = tuple[str, str]  # (from node id, to node id)
 Messages = Mapping[Edge, "Message"]
@@ -257,6 +259,12 @@ def _pass(fg: FactorGraph, edges: Sequence[Edge], semiring) -> dict[Edge, Messag
     return messages
 
 
+def _inward(order: Sequence[tuple[str, str | None]]) -> list[Edge]:
+    """The edges of breadth-first (node, parent) pairs, each toward its parent, leaves
+    first: every message a root needs, and no other."""
+    return [(u, p) for u, p in reversed(order) if p is not None]
+
+
 def _normaliser(payload: np.ndarray, where: str) -> float:
     total = float(payload.sum())
     if total <= 0.0:
@@ -310,7 +318,7 @@ def condition_factor_graph(fg: FactorGraph, evidence: Mapping[str, int]) -> tupl
     """
     for var, state in evidence.items():
         card = fg.card(var)
-        if not 0 <= int(state) < card:
+        if count(state, f"evidence state of {var!r}", least=0) >= card:
             raise ValidationError(f"evidence state {state} out of range for {var!r}")
     keep_vars = [(n, c) for n, c in fg.variables if n not in evidence]
     new_factors: dict[str, DiscreteFactor] = {}
@@ -336,6 +344,20 @@ def conditioned_sum_product(fg: FactorGraph, evidence: Mapping[str, int]) -> dic
     """
     reduced, _ = condition_factor_graph(fg, evidence)
     return _sum_product(reduced, _forest(reduced)).marginals
+
+
+def marginal(fg: FactorGraph, var: str) -> np.ndarray:
+    """The normalised marginal of one variable, from one inward pass over its component.
+
+    Each message is the one :func:`sum_product` would send along the same edge, so the
+    result is bit-identical to its (and :func:`conditioned_sum_product`'s) marginal, but
+    the messages flowing away from ``var`` and the other components are never computed.
+    The whole graph is still checked for loops.
+    """
+    fg.card(var)  # an unknown variable is refused before the walk
+    messages = _pass(fg, _inward(_forest(fg, var)[0]), _SumProduct)
+    payload, _ = _combined(fg, var, None, messages)
+    return payload / _normaliser(payload, f"at variable {var!r}")
 
 
 def factor_joint(fg: FactorGraph, fname: str) -> DiscreteFactor:
@@ -371,7 +393,7 @@ def max_sum_map(fg: FactorGraph, root: str) -> MaxSumResult:
         raise ValidationError(f"root {root!r} is not a variable")
     order = [pair for component in _forest(fg, root) for pair in component]
     semiring = _MaxSum()
-    messages = _pass(fg, [(u, p) for u, p in reversed(order) if p is not None], semiring)
+    messages = _pass(fg, _inward(order), semiring)
     assignment: dict[str, int] = {}
     log_score = 0.0
     # Backtrack from each root down, in breadth-first order.

@@ -17,11 +17,11 @@ import numpy as np
 from .errors import ConvergenceError, NotPositiveDefiniteError, SingularMatrixError, ValidationError
 
 
-def float_array(x, what: str) -> np.ndarray:
-    """``x`` as a float array; a non-numeric entry or a ragged nesting is a
-    validation error naming ``what``."""
+def float_array(x, what: str, copy: bool = False) -> np.ndarray:
+    """``x`` as a float array, a fresh one if ``copy``; a non-numeric entry or
+    a ragged nesting is a validation error naming ``what``."""
     try:
-        return np.asarray(x, dtype=float)
+        return np.array(x, dtype=float, copy=True if copy else None)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be numeric and rectangular") from None
 

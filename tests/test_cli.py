@@ -213,6 +213,24 @@ class TestFactorGraphCommands:
         assert {**default, "elapsed_seconds": 0} == {**explicit, "elapsed_seconds": 0}
         assert default["outputs"]["a"] == [0.4, 0.6]
 
+    def test_marginal_on_a_forest(self, write_model):
+        # u is declared but no factor uses it, so the graph is a forest.
+        model = write_model("iso.model", {
+            "variables": [{"name": "a", "card": 2}, {"name": "b", "card": 2}, {"name": "u", "card": 3}],
+            "factors": [{"name": "f", "scope": ["a", "b"], "values": [1, 2, 3, 4]}]})
+        plain = cli.run(["fg", "marginal", "--model", model, "--var", "a"])
+        observed = cli.run(["fg", "marginal", "--model", model, "--var", "a", "--evidence", "u=1"])
+        assert plain["outputs"] == observed["outputs"] == {"a": [0.4, 0.6]}
+        unused = cli.run(["fg", "marginal", "--model", model, "--var", "u"])
+        third = float(f"{1 / 3:.12g}")
+        assert unused["outputs"] == {"u": [third, third, third]}
+
+    def test_marginal_of_an_observed_or_unknown_variable_exits_2(self, write_model, capsys):
+        model = write_model("t.model", TREE_MODEL)
+        for argv in (["--var", "x2", "--evidence", "x2=1"], ["--var", "zz"]):
+            assert cli.main(["fg", "marginal", "--model", model, *argv]) == 2
+        assert capsys.readouterr().err.count("no marginal for") == 2
+
     def test_condition_emits_reduced_model(self, write_model):
         env = cli.run(["fg", "condition", "--model", write_model("t.model", TREE_MODEL),
                        "--evidence", "x2=1"])

@@ -53,6 +53,32 @@ class TestLayout:
         with pytest.raises(ValueError):
             f.values[0] = 7.0
 
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, np.nan], "factor values must be finite"),
+        ([np.inf, 1.0], "factor values must be finite"),
+        ([-np.inf, 1.0], "factor values must be finite"),
+        ([np.nan], "factor values must be finite"),  # the wrong size too
+        ([1.0, 2.0, np.inf], "factor values must be finite"),
+        ([-1.0, np.nan], "factor values must be finite"),
+        ([1.0, -1.0], "factor values must be non-negative"),
+        ([1.0, 2.0, 3.0], r"expected 2 values for scope \(\('a', 2\),\), got 3"),
+        ([-1.0], "expected 2 values"),  # the wrong size before the sign
+        ([], "expected 2 values"),
+        ([[1.0, 2.0], [3.0]], "factor values must be numeric and rectangular"),
+        (["x", 1.0], "factor values must be numeric and rectangular"),
+    ])
+    def test_value_check_precedence(self, values, message):
+        with pytest.raises(ValidationError, match=message):
+            DiscreteFactor([("a", 2)], values)
+
+    def test_values_do_not_alias_the_input(self):
+        given = np.array([[1.0, 2.0], [3.0, 4.0]])
+        f = DiscreteFactor([("a", 2), ("b", 2)], given)
+        given[0, 0] = 9.0
+        assert list(f.values) == [1.0, 2.0, 3.0, 4.0]
+        assert not np.shares_memory(f.values, given)
+        assert not f.values.flags.writeable
+
     def test_wide_scope(self):
         # 80 cardinality-1 variables around b and c: more axes than NumPy allows.
         ones = lambda tag: [(f"{tag}{i}", 1) for i in range(40)]
@@ -242,6 +268,18 @@ class TestConditionAndNormalise:
         f = DiscreteFactor([("a", 2)], [1, 2])
         with pytest.raises(ValidationError):
             condition(f, {"a": 2})
+
+    @pytest.mark.parametrize("state", [1.7, "1", -1])
+    def test_state_must_be_an_integer(self, state):
+        f = DiscreteFactor([("a", 2), ("b", 2)], [1, 2, 3, 4])
+        with pytest.raises(ValidationError, match="state of 'a' must be a non-negative integer"):
+            condition(f, {"a": state})
+
+    def test_integer_types_are_states(self):
+        # True is the integer 1 here, as for every count that numerics.count checks.
+        f = DiscreteFactor([("a", 2), ("b", 2)], [1, 2, 3, 4])
+        for state in (1, np.int64(1), True):
+            assert list(condition(f, {"a": state}).values) == [2, 4]
 
     def test_normalise_paper_values(self):
         norm, log_z = normalise(DiscreteFactor([("x1", 2)], [39840, 103680]))

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pgmlab.errors import ValidationError
+from pgmlab.errors import NumericError, ValidationError
 from pgmlab.factors import DiscreteFactor
 from pgmlab.messages import (
     FactorGraph,
     condition_factor_graph,
     conditioned_sum_product,
     factor_joint,
+    marginal,
     max_sum_map,
     schedule,
     sum_product,
@@ -23,11 +24,12 @@ from pgmlab.messages import (
 
 
 @st.composite
-def forests(draw):
+def forests(draw, zeros=False):
     """Up to ten variables of cardinality 2-3.  Each variable after the first
     starts a new component or joins an earlier one through a pairwise factor
     (or, with the next variable, a three-way factor); about half the
-    variables also get a unary factor."""
+    variables also get a unary factor.  With ``zeros``, table entries may be
+    0, so a component's partition function may be too."""
     n = draw(st.integers(1, 10))
     cards = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
     names = [f"v{i}" for i in range(n)]
@@ -45,7 +47,8 @@ def forests(draw):
     factors = {}
     for k, scope in enumerate(scopes):
         size = math.prod(cards[j] for j in scope)
-        values = draw(st.lists(st.floats(0.05, 4.0), min_size=size, max_size=size))
+        entries = st.sampled_from([0.0]) | st.floats(0.05, 4.0) if zeros else st.floats(0.05, 4.0)
+        values = draw(st.lists(entries, min_size=size, max_size=size))
         factors[f"f{k}"] = DiscreteFactor([(names[j], cards[j]) for j in scope], values)
     return FactorGraph(list(zip(names, cards)), factors)
 
@@ -173,6 +176,54 @@ def test_forest_needs_a_connected_tree_for_sum_product_and_factor_joint():
             call()
     assert_allclose(conditioned_sum_product(fg, {})["a"], [0.25, 0.75])
     assert max_sum_map(fg, "b").assignment == {"a": 1, "b": 0}
+
+
+@settings(max_examples=80, deadline=None)
+@given(forests(zeros=True))
+def test_marginal_is_the_full_pass_marginal(fg):
+    # One inward pass sends the same messages toward v as the full schedule, so the
+    # marginal is bit-identical; a component with Z = 0 fails on both paths.
+    try:
+        whole = conditioned_sum_product(fg, {})
+    except NumericError:
+        whole = None  # some component has Z = 0
+    for part in components(fg):
+        try:
+            full = sum_product(part).marginals
+        except NumericError:
+            full = None
+        for v in part.var_names:
+            if full is None:
+                with pytest.raises(NumericError):
+                    conditioned_sum_product(part, {})
+                with pytest.raises(NumericError):
+                    marginal(fg, v)
+                continue
+            result = marginal(fg, v)
+            assert np.array_equal(result, full[v])
+            assert np.array_equal(result, conditioned_sum_product(part, {})[v])
+            if whole is not None:
+                assert np.array_equal(result, whole[v])
+
+
+def test_marginal_of_a_variable_no_factor_uses_is_uniform():
+    fg = FactorGraph([("a", 2), ("b", 2), ("u", 3)],
+                     {"f": DiscreteFactor([("a", 2), ("b", 2)], [1, 2, 3, 4])})
+    assert np.array_equal(marginal(fg, "u"), np.full(3, 1 / 3))
+    assert np.array_equal(marginal(fg, "u"), conditioned_sum_product(fg, {})["u"])
+    assert_allclose(marginal(fg, "a"), [0.4, 0.6], rtol=1e-15)
+
+
+def test_marginal_checks_the_whole_graph_and_the_variable():
+    pair = [("c", 2), ("d", 2)]
+    fg = FactorGraph([("a", 2), *pair], {"fa": DiscreteFactor([("a", 2)], [1, 3]),
+                                         "g1": DiscreteFactor.ones(pair),
+                                         "g2": DiscreteFactor.ones(pair)})
+    # The loop lies in the other component, which the inward pass to a never visits.
+    with pytest.raises(ValidationError, match="factor graph has a loop"):
+        marginal(fg, "a")
+    with pytest.raises(ValidationError, match="unknown variable 'z'"):
+        marginal(fg, "z")
 
 
 def test_map_roots_each_other_component_at_its_first_variable():

@@ -1,6 +1,7 @@
 """Sum-product and max-sum message passing on factor trees."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,22 @@ class TestConditioning:
         )
         with pytest.raises(NumericError):
             conditioned_sum_product(fg, {"a": 1})
+
+    @pytest.mark.parametrize("state", [1.7, "1", -1, None])
+    def test_evidence_state_must_be_an_integer(self, tree_fg, state):
+        # 1.7 used to be truncated to state 1 and "1" cast to it.
+        for call in (lambda: conditioned_sum_product(tree_fg, {"x2": state}),
+                     lambda: condition_factor_graph(tree_fg, {"x2": state})):
+            with pytest.raises(ValidationError, match=f"evidence state of 'x2' must be a non-negative "
+                                                      f"integer, got {re.escape(repr(state))}"):
+                call()
+
+    def test_evidence_state_accepts_integer_types(self, tree_fg):
+        # True is the integer 1 here, as for every count that numerics.count checks.
+        expected = conditioned_sum_product(tree_fg, {"x2": 1})
+        for state in (np.int64(1), True):
+            marginals = conditioned_sum_product(tree_fg, {"x2": state})
+            assert all(np.array_equal(marginals[v], expected[v]) for v in expected)
 
 
 class TestFactorJoint:
