@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -39,28 +38,45 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _round_sig(x: float) -> float:
-    if x == 0 or not math.isfinite(x):
-        return x
-    return float(f"{x:.12g}")
+def _float_text(x: float) -> str:
+    """``x`` rounded to 12 significant digits, as ``json.dumps`` writes it.
+
+    A decimal of at most 12 digits is the shortest repr of the double it
+    parses to, so ``.12g`` already has ``repr``'s digits and lacks only the
+    ``.0`` of a whole number.  Three cases take the long way: ``repr``
+    writes exponents 12 to 15 positionally, subnormals have too few digits
+    for the rule to hold, and JSON spells ``inf`` and ``nan`` its own way.
+    """
+    text = f"{x:.12g}"
+    if "e+1" in text or "e-3" in text or "n" in text:
+        return json.dumps(float(text))
+    return text if "." in text or "e" in text else text + ".0"
 
 
-def _jsonable(value):
-    """Convert NumPy containers to plain JSON types with 12-digit floats.
+def _encode(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)`` with 12-digit floats.
 
     NumPy is never imported here: ``np.float64`` is a ``float``, and every
-    other NumPy array or scalar converts through its ``tolist()``.
+    other NumPy array or scalar is written through its ``tolist()``.  A list
+    of plain floats or of plain ints is written in one ``join``.
     """
     if isinstance(value, float):
-        return _round_sig(float(value))
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if value is None or isinstance(value, (str, int)):
-        return value
-    tolist = getattr(value, "tolist", None)
-    return value if tolist is None else _jsonable(tolist())
+        return _float_text(value)
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = (f"{json.dumps(str(k))}: {_encode(v, inner)}" for k, v in value.items())
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        kinds = set(map(type, value))
+        if kinds == {float}:
+            items = map(_float_text, value)
+        elif kinds == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = (_encode(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    tolist = getattr(value, "tolist", None)  # None, str, int and bool have none
+    return json.dumps(value) if tolist is None else _encode(tolist(), indent)
 
 
 def _parse_names(text: str) -> list[str]:
@@ -83,9 +99,11 @@ def _parse_evidence(text: str | None) -> dict[str, int]:
 
 
 def _print_envelope(envelope: dict, as_table: bool) -> None:
+    text = _encode(envelope)
     if not as_table:
-        print(json.dumps(envelope, indent=2))
+        print(text)
         return
+    envelope = json.loads(text)
     print(f"command: {envelope['command']}")
     for key, value in envelope["outputs"].items():
         print(f"{key}: {value}")
@@ -221,7 +239,7 @@ def _cmd_hmm_filter(args, hmm):
 
     obs = _obs_ints(args.obs)
     filtered, log_lik = sequential.alpha_filter(hmm, obs)
-    return {"obs": obs}, {"filtered": [f for f in filtered], "log_likelihood": log_lik}
+    return {"obs": obs}, {"filtered": filtered, "log_likelihood": log_lik}
 
 
 def _cmd_hmm_predict(args, hmm):
@@ -236,7 +254,7 @@ def _cmd_hmm_smooth(args, hmm):
     from . import sequential
 
     obs = _obs_ints(args.obs)
-    return {"obs": obs}, {"smoothed": [s for s in sequential.smooth(hmm, obs)]}
+    return {"obs": obs}, {"smoothed": sequential.smooth(hmm, obs)}
 
 
 def _cmd_hmm_viterbi(args, hmm):
@@ -501,8 +519,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> dict:
-    """Parse arguments, execute the command, and return the envelope."""
-    return _execute(_parser().parse_args(argv))
+    """Parse arguments, execute the command, and return the envelope as
+    ``main`` prints it, parsed back into plain JSON types."""
+    return json.loads(_encode(_execute(_parser().parse_args(argv))))
 
 
 def _execute(args: argparse.Namespace) -> dict:
@@ -511,15 +530,13 @@ def _execute(args: argparse.Namespace) -> dict:
     echo, outputs = spec.handler(args, spec.section and _load_model(args.model, spec.section))
     if spec.section:
         echo = {"model": args.model, **echo}
-    elapsed = time.perf_counter() - start
-    envelope = {
+    return {
         "command": f"{args.group} {args.command}",
-        "inputs": _jsonable(echo),
-        "outputs": _jsonable(outputs),
+        "inputs": echo,
+        "outputs": outputs,
         "seed": args.seed if spec.seeded else None,
-        "elapsed_seconds": elapsed,
+        "elapsed_seconds": time.perf_counter() - start,
     }
-    return envelope
 
 
 def main(argv=None) -> int:

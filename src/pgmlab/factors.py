@@ -80,7 +80,7 @@ class DiscreteFactor:
         return self.values.reshape(self.cards, order="F")
 
     def value_at(self, assignment: Mapping[str, int]) -> float:
-        idx = tuple(int(assignment[name]) for name in self.var_names)
+        idx = tuple(_state(assignment, name, card) for name, card in self.scope)
         return float(self.ndarray()[idx])
 
     def __eq__(self, other):
@@ -169,6 +169,14 @@ def max_marginalise(f: DiscreteFactor, var: str) -> tuple[DiscreteFactor, np.nda
     )
 
 
+def _state(assignment: Mapping[str, int], name: str, card: int) -> int:
+    """The state ``assignment`` gives ``name``, once it is an integer in [0, card)."""
+    state = count(assignment[name], f"state of {name!r}", least=0)
+    if state >= card:
+        raise ValidationError(f"state {state} out of range for {name!r} (card {card})")
+    return state
+
+
 def condition(f: DiscreteFactor, assignment: Mapping[str, int]) -> DiscreteFactor:
     """Slice the table at the given states; assigned variables leave the
     scope.  Variables in ``assignment`` that are not in the scope are
@@ -176,11 +184,8 @@ def condition(f: DiscreteFactor, assignment: Mapping[str, int]) -> DiscreteFacto
     out = f
     for name, card in f.scope:
         if name in assignment:
-            state = count(assignment[name], f"state of {name!r}", least=0)
-            if state >= card:
-                raise ValidationError(f"state {state} out of range for {name!r} (card {card})")
             table, rest = _around(out, name)
-            out = DiscreteFactor.from_ndarray(rest, table[:, state, :])
+            out = DiscreteFactor.from_ndarray(rest, table[:, _state(assignment, name, card), :])
     return out
 
 

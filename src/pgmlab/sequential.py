@@ -92,11 +92,11 @@ class DiscreteHmm:
 
 
 def _check_observations(hmm: DiscreteHmm, observations: Sequence[int]) -> list[int]:
-    obs = [int(v) for v in observations]
+    obs = [count(v, "observation", least=0) for v in observations]
     if not 1 <= len(obs) <= hmm.n_steps:
         raise ValidationError(f"need between 1 and {hmm.n_steps} observations")
     for t, v in enumerate(obs):
-        if not 0 <= v < hmm.emissions[t].shape[1]:
+        if v >= hmm.emissions[t].shape[1]:
             raise ValidationError(f"observation {v} at step {t + 1} outside the emission alphabet")
     return obs
 

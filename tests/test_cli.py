@@ -886,6 +886,23 @@ def test_every_command_prints_strict_json(spec, tmp_path, capsys):
     json.loads(capsys.readouterr().out, parse_constant=_not_json)
 
 
+_LAYOUT_CHECKED = {("hmm", "filter"), ("hmm", "smooth"), ("hmm", "ffbs"), ("kalman", "filter"),
+                   ("fg", "map"), ("sample", "mh")}
+
+
+@pytest.mark.parametrize("spec", [spec for spec in cli.COMMANDS if (spec.group, spec.name) in _LAYOUT_CHECKED],
+                         ids=lambda spec: f"{spec.group}-{spec.name}")
+def test_printed_layout_is_json_dumps_layout(spec, tmp_path, capsys):
+    argv = [spec.group, spec.name, *_EXAMPLES[spec.group, spec.name]]
+    argv = _resolve(argv + (["--seed", "9"] if spec.seeded else []), tmp_path)
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    env = cli.run(argv)
+    del env["elapsed_seconds"]
+    assert env == _without_elapsed(text)
+
+
 _WIDE = [f"x{i}" for i in range(70)]
 
 

@@ -38,6 +38,17 @@ class TestLayout:
         for a, b in itertools.product(range(2), range(3)):
             assert f.value_at({"a": a, "b": b}) == a + 2 * b
 
+    @pytest.mark.parametrize("state", [-1, 2.9, 3, "1", None])
+    def test_value_at_refuses_a_bad_state(self, state):
+        # Once cast with int() and unchecked: -1 and 2.9 both read entry 2.
+        f = DiscreteFactor([("a", 3)], [1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match="'a'"):
+            f.value_at({"a": state})
+
+    def test_value_at_accepts_numpy_integers(self):
+        f = DiscreteFactor([("a", 3)], [1.0, 2.0, 3.0])
+        assert f.value_at({"a": np.int64(2)}) == 3.0
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             DiscreteFactor([("a", 2)], [1.0])  # wrong length

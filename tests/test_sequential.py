@@ -96,6 +96,15 @@ class TestFiltering:
         with pytest.raises(ValidationError):
             alpha_filter(flip_hmm, [2])
 
+    @pytest.mark.parametrize("obs", [[1.7, 0], ["1", 0], [-1, 0], [math.nan]])
+    def test_non_integer_or_negative_symbol_is_refused(self, flip_hmm, obs):
+        # Once truncated by int(): [1.7, 0] and ["1", 0] answered as [1, 0].
+        with pytest.raises(ValidationError, match="observation"):
+            alpha_filter(flip_hmm, obs)
+
+    def test_integral_numpy_symbols_are_accepted(self, flip_hmm):
+        assert alpha_filter(flip_hmm, np.array([1, 0]))[1] == alpha_filter(flip_hmm, [1, 0])[1]
+
     def test_loglik_matches_factor_graph_partition(self, flip_hmm):
         # build the chain-with-rungs factor graph and condition on evidence
         obs = [1, 0, 1]
