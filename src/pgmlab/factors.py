@@ -58,18 +58,28 @@ class DiscreteFactor:
         scope = _validate_scope(scope)
         arr = float_array(values, "factor values", copy=True).reshape(-1)  # the caller keeps theirs
         size = math.prod(c for _, c in scope)
-        # NaN fails ``min() >= 0``; only a refused table works out which rule it breaks.
-        if not (arr.size == size and arr.min() >= 0.0 and arr.max() < math.inf):
+        # Only a refused table works out which rule it breaks.
+        if not (arr.size == size and _in_range(arr)):
             if not np.isfinite(arr).all():
                 raise ValidationError("factor values must be finite")
             if arr.size != size:
                 raise ValidationError(f"expected {size} values for scope {scope}, got {arr.size}")
             raise ValidationError("factor values must be non-negative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "var_names", tuple(name for name, _ in scope))
-        object.__setattr__(self, "cards", tuple(card for _, card in scope))
+        self._set(scope, arr)
+
+    @classmethod
+    def _trusted(cls, scope: Scope, values: np.ndarray) -> "DiscreteFactor":
+        """The factor over ``scope``, already checked, with the flat table ``values``, which
+        no one else writes to: the result of a factor operation, taken without a check or a copy."""
+        f = object.__new__(cls)
+        f._set(scope, values)
+        return f
+
+    def _set(self, scope: Scope, values: np.ndarray) -> None:
+        values.setflags(write=False)
+        var_names, cards = zip(*scope) if scope else ((), ())
+        # One update past the frozen dataclass's __setattr__.
+        vars(self).update(scope=scope, values=values, var_names=var_names, cards=cards)
 
     def ndarray(self) -> np.ndarray:
         """Multi-dimensional view; axis k indexes the k-th scope variable.  A scope of more
@@ -95,18 +105,58 @@ class DiscreteFactor:
     @classmethod
     def ones(cls, scope: Iterable[tuple[str, int]]) -> "DiscreteFactor":
         scope = _validate_scope(scope)
-        return cls(scope, np.ones(_table_shape(scope)))
+        return cls._trusted(scope, np.ones(_table_size(scope)))
 
 
-def _table_shape(scope: Scope) -> tuple[int, ...]:
-    """The cardinalities of ``scope``, once its table is known to fit in
-    ``MAX_TABLE_ENTRIES`` entries."""
-    shape = tuple(card for _, card in scope)
-    size = math.prod(shape)
+def _in_range(arr: np.ndarray) -> bool:
+    """Whether every entry is finite and non-negative; NaN fails ``min() >= 0``."""
+    return bool(arr.min() >= 0.0 and arr.max() < math.inf)
+
+
+def _document_factors(entries: list, declared: Mapping[str, int]) -> dict[str, DiscreteFactor] | None:
+    """The ``factors`` section of a model document over the ``declared`` variables, each
+    entry ``{"name", "scope": [names], "values": [numbers]}``; or None if an entry is not
+    of that form or breaks a rule, and the caller then checks the entries one by one to
+    report the first fault.  Every table is a read-only slice of one array, which is
+    built and checked once for the whole section."""
+    cards = {name: card for name, card in declared.items() if card >= 1}
+    found: dict[str, tuple[Scope, list]] = {}
+    for entry in entries:
+        try:
+            name, scope_names, table = str(entry["name"]), entry["scope"], entry["values"]
+            scope = tuple((v, cards[v]) for v in scope_names)
+        except (KeyError, TypeError):  # a missing field, an entry that is no object, an undeclared variable
+            return None
+        if (type(scope_names) is not list or type(table) is not list or name in found
+                or len(set(scope_names)) != len(scope_names)):
+            return None
+        found[name] = scope, table
+    if any(len(table) != math.prod(card for _, card in scope) for scope, table in found.values()):
+        return None
+    flat = [x for _, table in found.values() for x in table]
+    if not set(map(type, flat)) <= {int, float}:  # refuses bool, str, null and nested lists
+        return None
+    try:
+        arr = np.array(flat, dtype=float)
+    except OverflowError:
+        return None
+    if not _in_range(arr):
+        return None
+    arr.setflags(write=False)
+    out, start = {}, 0
+    for name, (scope, table) in found.items():
+        out[name] = DiscreteFactor._trusted(scope, arr[start:start + len(table)])
+        start += len(table)
+    return out
+
+
+def _table_size(scope: Scope) -> int:
+    """The entry count of a table over ``scope``, once it is at most ``MAX_TABLE_ENTRIES``."""
+    size = math.prod(card for _, card in scope)
     if size > MAX_TABLE_ENTRIES:
         raise ValidationError(f"a table over {[name for name, _ in scope]} would have {size} entries, "
                               f"over the limit of {MAX_TABLE_ENTRIES}")
-    return shape
+    return size
 
 
 def product(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
@@ -118,19 +168,27 @@ def product(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
             if union.setdefault(name, card) != card:
                 raise ValidationError(f"cardinality conflict for {name!r}")
     scope = tuple(union.items())
-    # einsum takes at most 52 axis labels, so only axes longer than one get one (at most 24
-    # under the table cap); dropping length-1 axes keeps the Fortran-order layout.
-    axis = {name: k for k, name in enumerate(name for name, card in scope if card > 1)}
-    all_axes = list(axis.values())
-    result = np.ones([card for card in _table_shape(scope) if card > 1])
-    for f in factors:
-        nd = f.values.reshape([card for card in f.cards if card > 1], order="F")
-        # Two operands and no summed axis: each entry is the one product a*b.
-        result = np.einsum(result, all_axes, nd, [axis[name] for name in f.var_names if name in axis], all_axes)
-    # einsum ignores np.errstate; from finite inputs, inf or inf*0 = nan mark an overflow.
-    if not np.isfinite(result).all():
+    # The result's axes run in reverse scope order, so its C-order buffer is the flat
+    # first-variable-fastest table.  Length-1 axes are dropped: at most 24 axes remain
+    # under the table cap.
+    axes = [name for name, card in reversed(scope) if card > 1]
+    position = {name: k for k, name in enumerate(axes)}
+    _table_size(scope)
+    result = np.ones([union[name] for name in axes])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in factors:
+            # f's table with its axes in reverse scope order, put in the result's order, and
+            # of length 1 along the result's other axes: a view, broadcast by the multiply.
+            own = [name for name in reversed(f.var_names) if name in position]
+            table = f.values.reshape([union[name] for name in own])
+            table = table.transpose(sorted(range(len(own)), key=lambda k: position[own[k]]))  # argsort
+            # Each entry is the one product a*b, taken factor by factor from the left.
+            result *= table.reshape([union[name] if name in f.var_names else 1 for name in axes])
+    # From finite inputs, inf or inf*0 = nan mark an overflow; both fail ``max() < inf``
+    # in a table with no negative entry, without the bool table of ``isfinite``.
+    if not result.max() < math.inf:
         raise NumericError(f"factor product over {list(union)} overflows")
-    return DiscreteFactor.from_ndarray(scope, result)
+    return DiscreteFactor._trusted(scope, result.reshape(-1))
 
 
 def _around(f: DiscreteFactor, var: str) -> tuple[np.ndarray, Scope]:
@@ -151,7 +209,7 @@ def sum_marginalise(f: DiscreteFactor, var: str) -> DiscreteFactor:
             summed = table.sum(axis=1)
     except FloatingPointError:
         raise NumericError(f"summing {var!r} out of a factor overflows") from None
-    return DiscreteFactor.from_ndarray(rest, summed)
+    return DiscreteFactor._trusted(rest, summed.reshape(-1, order="F"))
 
 
 def max_marginalise(f: DiscreteFactor, var: str) -> tuple[DiscreteFactor, np.ndarray]:
@@ -164,7 +222,7 @@ def max_marginalise(f: DiscreteFactor, var: str) -> tuple[DiscreteFactor, np.nda
     table, rest = _around(f, var)
     argmax = table.argmax(axis=1)  # first occurrence = lowest state
     return (
-        DiscreteFactor.from_ndarray(rest, table.max(axis=1)),
+        DiscreteFactor._trusted(rest, table.max(axis=1).reshape(-1, order="F")),
         argmax.reshape(-1, order="F"),
     )
 
@@ -185,16 +243,20 @@ def condition(f: DiscreteFactor, assignment: Mapping[str, int]) -> DiscreteFacto
     for name, card in f.scope:
         if name in assignment:
             table, rest = _around(out, name)
-            out = DiscreteFactor.from_ndarray(rest, table[:, _state(assignment, name, card), :])
+            out = DiscreteFactor._trusted(rest, table[:, _state(assignment, name, card), :].flatten(order="F"))
     return out
 
 
 def normalise(f: DiscreteFactor) -> tuple[DiscreteFactor, float]:
     """Scale the table to sum to one; also return log of the original sum."""
-    total = float(f.values.sum())
+    try:
+        with np.errstate(over="raise"):
+            total = float(f.values.sum())
+    except FloatingPointError:
+        raise NumericError("the sum of a factor's table overflows") from None
     if total <= 0.0:
         raise NumericError("cannot normalise an all-zero factor")
-    return DiscreteFactor(f.scope, f.values / total), math.log(total)
+    return DiscreteFactor._trusted(f.scope, f.values / total), math.log(total)
 
 
 @dataclass(frozen=True)

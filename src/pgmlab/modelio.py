@@ -1,12 +1,15 @@
 """Model documents: the JSON file format shared by the CLI.
 
 A document is a JSON object with optional sections.  ``variables`` +
-``factors`` describe a factor graph (factor tables are flat lists with the
-first scope variable varying fastest); ``dag``, ``ugm``, ``hmm``,
-``kalman``, ``rbm``, and ``meanfield`` describe the other model kinds.
-Each CLI command requires exactly the section(s) it operates on.
+``factors`` describe a factor graph: a factor's ``scope`` is a list of
+variable names, and its ``values`` are JSON numbers with the first scope
+variable varying fastest, flat or as nested rectangular lists read row by
+row.  ``dag``, ``ugm``, ``hmm``, ``kalman``, ``rbm``, and ``meanfield``
+describe the other model kinds.  Each CLI command requires exactly the
+section(s) it operates on.
 
-Parsing validates every section present.  The ``dag`` and ``ugm``
+Parsing validates every section present; a field that must be a number
+refuses a string and a bool.  The ``dag`` and ``ugm``
 constructors come from the pure-Python ``graphs`` module; every other
 constructor, and with it NumPy, is imported only when the document has its
 section, so a graph-only document is parsed without NumPy.
@@ -68,6 +71,8 @@ def _number(mapping: dict, key: str, where: str, kind=float):
     """A required scalar field converted with ``kind``, ``int`` (which refuses 2.7) or ``float``."""
     value = _expect(mapping, key, where)
     try:
+        if isinstance(value, (str, bool)):  # int("2") and int(True) would pass
+            raise TypeError
         number = kind(value)
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
@@ -109,22 +114,10 @@ def parse_model_dict(doc: dict) -> ModelDocument:
 
     factors = _entries(doc, "factors")
     if factors:
-        from .factors import DiscreteFactor
-    for entry in factors:
-        name = str(_expect(entry, "name", "factors"))
-        scope_names = [str(v) for v in _expect(entry, "scope", f"factor {name!r}")]
-        for v in scope_names:
-            if v not in declared:
-                raise ValidationError(f"factor {name!r}: scope references undeclared variable {v!r}")
-        scope = [(v, declared[v]) for v in scope_names]
-        try:
-            factor = DiscreteFactor(scope, _expect(entry, "values", f"factor {name!r}"))
-        except ValidationError as exc:
-            raise ValidationError(f"factor {name!r}: {exc}") from exc
-        if name in out.factors:
-            raise ValidationError(f"duplicate factor name {name!r}")
-        out.factors[name] = factor
-    if "factors" in doc and not out.factors:
+        from .factors import _document_factors
+
+        out.factors = _document_factors(factors, declared) or _factors_one_by_one(factors, declared)
+    elif "factors" in doc:
         raise ValidationError("'factors' section is empty")
 
     if "dag" in doc:
@@ -173,6 +166,43 @@ def parse_model_dict(doc: dict) -> ModelDocument:
             _expect(section, "linear", "meanfield"),
         )
     return out
+
+
+def _factors_one_by_one(entries: list, declared: dict[str, int]) -> dict[str, DiscreteFactor]:
+    """The ``factors`` section checked entry by entry, so the first fault in document
+    order is the one reported, naming its factor."""
+    from .factors import DiscreteFactor
+
+    out: dict[str, DiscreteFactor] = {}
+    for entry in entries:
+        name = str(_expect(entry, "name", "factors"))
+        where = f"factor {name!r}"
+        scope_names = _names(_expect(entry, "scope", where), f"{where}: 'scope'")
+        for v in scope_names:
+            if v not in declared:
+                raise ValidationError(f"{where}: scope references undeclared variable {v!r}")
+        values = _expect(entry, "values", where)
+        _check_numbers(values, where)
+        try:
+            factor = DiscreteFactor([(v, declared[v]) for v in scope_names], values)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+        if name in out:
+            raise ValidationError(f"duplicate factor name {name!r}")
+        out[name] = factor
+    return out
+
+
+def _check_numbers(values, where: str) -> None:
+    """Raise unless every leaf of the nested lists ``values`` is a JSON number: NumPy
+    would read ``true`` and ``"0.5"`` as numbers."""
+    stack = [values]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(reversed(value))
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"{where}: field 'values' must hold numbers, got {value!r}")
 
 
 def parse_model(path) -> ModelDocument:

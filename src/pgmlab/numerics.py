@@ -19,11 +19,14 @@ from .errors import ConvergenceError, NotPositiveDefiniteError, SingularMatrixEr
 
 def float_array(x, what: str, copy: bool = False) -> np.ndarray:
     """``x`` as a float array, a fresh one if ``copy``; a non-numeric entry or
-    a ragged nesting is a validation error naming ``what``."""
+    a ragged nesting is a validation error naming ``what``, and so is an integer
+    too large for a float."""
     try:
         return np.array(x, dtype=float, copy=True if copy else None)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be numeric and rectangular") from None
+    except OverflowError:
+        raise ValidationError(f"{what} must be finite") from None
 
 
 def finite_array(x, what: str) -> np.ndarray:
