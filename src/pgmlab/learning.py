@@ -205,7 +205,7 @@ def bernoulli_mle(data: Sequence[int]) -> float:
 
 def gaussian_mle(data: Sequence[float]) -> tuple[float, float]:
     """Sample mean and variance with divisor n (the joint maximiser)."""
-    arr = np.asarray(list(data), dtype=float)
+    arr = finite_array(list(data), "data")
     if arr.size == 0:
         raise ValidationError("empty data")
     mean = float(arr.mean())
@@ -221,7 +221,7 @@ def gaussian_mean_posterior(data: Sequence[float], sigma2: float, prior: Gaussia
     from .sequential import Gaussian1, gaussian_product
 
     positive(sigma2, "sigma2")
-    arr = np.asarray(list(data), dtype=float)
+    arr = finite_array(list(data), "data")
     if arr.size == 0:
         return prior
     likelihood = Gaussian1(float(arr.mean()), sigma2 / arr.size)

@@ -10,8 +10,10 @@ function of a forest is the sum over them.  :func:`conditioned_sum_product`,
 :func:`marginal` and :func:`max_sum_map` accept forests, such as a tree split
 by evidence on an interior variable; :func:`sum_product` and
 :func:`factor_joint` need one connected tree.  Loops are always rejected.
-Messages toward leaf factor nodes are never computed, and :func:`marginal`
-and :func:`max_sum_map` send only the messages that flow toward one root.
+Every query walks one rooted order, each component's breadth-first (node,
+parent) pairs: :func:`marginal`, :func:`max_sum_map` and :func:`factor_joint`
+send only the messages toward their root, and :func:`sum_product` sends those
+and then the messages away from it, never one toward a leaf factor node.
 """
 
 from __future__ import annotations
@@ -151,28 +153,18 @@ def validate_tree(fg: FactorGraph) -> bool:
 
 
 def schedule(fg: FactorGraph) -> Schedule:
-    """Group all messages into the minimal number of clock cycles.
+    """The messages of :func:`sum_product` grouped into the minimal number of clock cycles.
 
-    A message u->v becomes computable once every message w->u with w != v
-    is available; leaf-bound messages into degree-one factor nodes are
-    omitted.  The components of a forest share clock cycles.
+    A message u->v becomes computable once every message w->u with w != v is
+    available, so its cycle is one past the latest of those; the pass order
+    computes every input first.  The components of a forest share clock cycles.
     """
-    order = [pair for component in _forest(fg) for pair in component]
     depth: dict[Edge, int] = {}
-    for node, parent in reversed(order):
-        if parent is not None:
-            depth[(node, parent)] = 1 + max(
-                (depth[(w, node)] for w in fg._adjacent[node] if w != parent), default=0)
-    for node, parent in order:
-        inbound = sorted((depth[(w, node)] for w in fg._adjacent[node]), reverse=True)
-        first, second = (inbound + [0, 0])[:2]
-        for c in fg._adjacent[node]:
-            if c != parent:
-                depth[(node, c)] = 1 + (second if depth[(c, node)] == first else first)
-    edges = [e for e in depth if not (e[1] in fg.factors and len(fg.factors[e[1]].scope) == 1)]
-    groups: list[list[Edge]] = [[] for _ in range(max((depth[e] for e in edges), default=0))]
-    for e in edges:
-        groups[depth[e] - 1].append(e)
+    for u, v in _all_edges(fg, _forest(fg)):
+        depth[(u, v)] = 1 + max((depth[(w, u)] for w in fg._adjacent[u] if w != v), default=0)
+    groups: list[list[Edge]] = [[] for _ in range(max(depth.values(), default=0))]
+    for e, d in depth.items():
+        groups[d - 1].append(e)
     return Schedule(tuple(tuple(sorted(g)) for g in groups))
 
 
@@ -265,6 +257,14 @@ def _inward(order: Sequence[tuple[str, str | None]]) -> list[Edge]:
     return [(u, p) for u, p in reversed(order) if p is not None]
 
 
+def _all_edges(fg: FactorGraph, components: list) -> list[Edge]:
+    """Every message of a full pass: the inward edges of each component, then the outward
+    ones in breadth-first order, less those into degree-one factors, which nothing reads."""
+    order = [pair for component in components for pair in component]
+    return _inward(order) + [(p, u) for u, p in order
+                             if p is not None and not (u in fg.factors and len(fg._adjacent[u]) == 1)]
+
+
 def _normaliser(payload: np.ndarray, where: str) -> float:
     total = float(payload.sum())
     if total <= 0.0:
@@ -296,7 +296,7 @@ def sum_product(fg: FactorGraph) -> SumProductResult:
 
 
 def _sum_product(fg: FactorGraph, components: list) -> SumProductResult:
-    messages = _pass(fg, schedule(fg).all_edges(), _SumProduct)
+    messages = _pass(fg, _all_edges(fg, components), _SumProduct)
     marginals: dict[str, np.ndarray] = {}
     for var in fg.var_names:
         payload, _ = _combined(fg, var, None, messages)
@@ -362,16 +362,14 @@ def marginal(fg: FactorGraph, var: str) -> np.ndarray:
 
 def factor_joint(fg: FactorGraph, fname: str) -> DiscreteFactor:
     """Normalised joint over one factor's scope: the factor times all of its
-    incoming variable messages."""
+    incoming variable messages, from one inward pass rooted at the factor."""
     if fname not in fg.factors:
         raise ValidationError(f"unknown factor {fname!r}")
-    messages = dict(sum_product(fg).messages)
-    fac = fg.factors[fname]
-    for var in fac.var_names:
-        if (var, fname) not in messages:
-            messages[(var, fname)] = _var_to_factor(fg, var, fname, messages)
-    nd, _ = _combined(fg, fname, None, messages)
-    return DiscreteFactor.from_ndarray(fac.scope, nd / _normaliser(nd, "in factor joint"))
+    components = _forest(fg, fname)
+    if len(components) != 1:
+        raise ValidationError("factor graph is not a connected tree")
+    nd, _ = _combined(fg, fname, None, _pass(fg, _inward(components[0]), _SumProduct))
+    return DiscreteFactor.from_ndarray(fg.factors[fname].scope, nd / _normaliser(nd, "in factor joint"))
 
 
 @dataclass(frozen=True)

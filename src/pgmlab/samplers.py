@@ -487,7 +487,7 @@ def ess(samples: Sequence[float]) -> float:
     truncated at the first negative estimate, since the infinite sum is not
     computable from a finite chain.
     """
-    x = np.asarray(samples, dtype=float).reshape(-1)
+    x = finite_array(samples, "samples").reshape(-1)
     s = x.size
     if s < 2:
         raise ValidationError("need at least two samples")

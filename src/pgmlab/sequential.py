@@ -135,7 +135,7 @@ def hidden_prediction(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> 
     """
     obs = _check_observations(hmm, observations)
     u = len(obs)
-    if not u <= t <= hmm.n_steps:
+    if not u <= count(t, "prediction step t", least=0) <= hmm.n_steps:
         raise ValidationError(f"prediction step t={t} must lie in [{u}, {hmm.n_steps}]")
     filtered, log_lik = alpha_filter(hmm, obs)
     current = filtered[-1]
@@ -196,7 +196,7 @@ def smooth_pairwise(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np
     n = len(obs)
     if n != hmm.n_steps:
         raise ValidationError("pairwise smoothing needs the full observation sequence")
-    if not 2 <= t <= n:
+    if not 2 <= count(t, "pair step t", least=0) <= n:
         raise ValidationError(f"pair step t={t} must lie in [2, {n}]")
     filtered, _ = alpha_filter(hmm, obs)
     beta = _backward(hmm, obs)[t - 1]
@@ -243,7 +243,7 @@ def ffbs_backward_kernel(hmm: DiscreteHmm, observations: Sequence[int], t: int) 
     defines the normaliser.
     """
     obs = _check_observations(hmm, observations)
-    if not 2 <= t <= len(obs):
+    if not 2 <= count(t, "kernel step t", least=0) <= len(obs):
         raise ValidationError(f"kernel step t={t} must lie in [2, {len(obs)}]")
     filtered, _ = alpha_filter(hmm, obs)
     return _backward_kernel(hmm, obs, filtered, t)

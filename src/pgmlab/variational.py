@@ -63,7 +63,7 @@ def mf_update(target: GaussianTarget, state: MeanFieldState, i: int) -> MeanFiel
     Only coordinate i changes: variance 1/Lambda_ii, mean
     (eta_i - sum_{j != i} Lambda_ij m_j) / Lambda_ii.
     """
-    if not 0 <= i < target.dim:
+    if count(i, "coordinate", least=0) >= target.dim:
         raise ValidationError(f"coordinate {i} out of range")
     if state.means.size != target.dim:
         raise ValidationError("state dimension does not match the target")

@@ -13,6 +13,16 @@ from pgmlab.errors import NumericError, ValidationError
 from pgmlab.factors import DiscreteFactor
 from pgmlab.messages import (
     FactorGraph,
+    Schedule,
+    SumProductResult,
+    _all_edges,
+    _combined,
+    _forest,
+    _normaliser,
+    _pass,
+    _sum_product,
+    _SumProduct,
+    _var_to_factor,
     condition_factor_graph,
     conditioned_sum_product,
     factor_joint,
@@ -283,3 +293,176 @@ def test_deep_chain_against_numpy_recursions():
     at_states = sum(math.log(unary[i, s]) for i, s in enumerate(states)) + sum(
         math.log(pair[i, states[i], states[i + 1]]) for i in range(n - 1))
     assert math.isclose(at_states, result.log_score, rel_tol=1e-12)
+
+
+# The three ways the engine used to walk a tree, kept as references: the clock-cycle
+# schedule by a two-pass first/second-max recursion, the full pass in its order, and
+# factor_joint as that full pass plus the messages toward leaf factors.
+
+def reference_schedule(fg: FactorGraph) -> Schedule:
+    order = [pair for component in _forest(fg) for pair in component]
+    depth = {}
+    for node, parent in reversed(order):
+        if parent is not None:
+            depth[(node, parent)] = 1 + max(
+                (depth[(w, node)] for w in fg._adjacent[node] if w != parent), default=0)
+    for node, parent in order:
+        inbound = sorted((depth[(w, node)] for w in fg._adjacent[node]), reverse=True)
+        first, second = (inbound + [0, 0])[:2]
+        for c in fg._adjacent[node]:
+            if c != parent:
+                depth[(node, c)] = 1 + (second if depth[(c, node)] == first else first)
+    edges = [e for e in depth if not (e[1] in fg.factors and len(fg.factors[e[1]].scope) == 1)]
+    groups = [[] for _ in range(max((depth[e] for e in edges), default=0))]
+    for e in edges:
+        groups[depth[e] - 1].append(e)
+    return Schedule(tuple(tuple(sorted(g)) for g in groups))
+
+
+def reference_sum_product(fg: FactorGraph) -> SumProductResult:
+    components = _forest(fg)
+    messages = _pass(fg, reference_schedule(fg).all_edges(), _SumProduct)
+    marginals = {}
+    for var in fg.var_names:
+        payload, _ = _combined(fg, var, None, messages)
+        marginals[var] = payload / _normaliser(payload, f"at variable {var!r}")
+    log_partition = 0.0
+    for component in components:
+        top = component[0][0]
+        payload, scale = _combined(fg, top, None, messages)
+        log_partition += math.log(_normaliser(payload, f"at {top!r}")) + scale
+    return SumProductResult(marginals, log_partition, messages)
+
+
+def reference_factor_joint(fg: FactorGraph, fname: str) -> DiscreteFactor:
+    if len(_forest(fg)) != 1:
+        raise ValidationError("factor graph is not a connected tree")
+    messages = dict(reference_sum_product(fg).messages)
+    fac = fg.factors[fname]
+    for var in fac.var_names:
+        if (var, fname) not in messages:
+            messages[(var, fname)] = _var_to_factor(fg, var, fname, messages)
+    nd, _ = _combined(fg, fname, None, messages)
+    return DiscreteFactor.from_ndarray(fac.scope, nd / _normaliser(nd, "in factor joint"))
+
+
+def outcome(call):
+    """The call's result, or its error as (type, text)."""
+    try:
+        return call()
+    except (NumericError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_result(result, expected):
+    if isinstance(expected, tuple):  # an error: a zero message or normaliser
+        assert isinstance(result, tuple) and result[0] is expected[0]
+        # Which zero message is met first depends on the pass order; a zero normaliser
+        # (every message nonzero) is met at the same variable on both paths.
+        if "identically zero" not in expected[1]:
+            assert result == expected
+        else:
+            assert "identically zero" in result[1]
+        return
+    assert set(result.messages) == set(expected.messages)
+    for edge, msg in expected.messages.items():
+        got = result.messages[edge]
+        assert np.array_equal(got.payload, msg.payload) and got.log_scale == msg.log_scale
+    assert result.marginals.keys() == expected.marginals.keys()
+    for var, probs in expected.marginals.items():
+        assert np.array_equal(result.marginals[var], probs)
+    assert result.log_partition == expected.log_partition
+
+
+@st.composite
+def any_graphs(draw):
+    """A forest, or one with a loop closed by two parallel factors, with or without
+    an empty-scope factor."""
+    fg = draw(forests(zeros=draw(st.booleans())))
+    factors = dict(fg.factors)
+    if draw(st.booleans()):
+        factors["const"] = DiscreteFactor([], [draw(st.floats(0.05, 4.0))])
+    if len(fg.variables) > 1 and draw(st.booleans()):
+        scope = list(draw(st.permutations(fg.variables)))[:2]
+        factors["loop1"] = DiscreteFactor.ones(scope)
+        factors["loop2"] = DiscreteFactor.ones(scope)
+    return FactorGraph(list(fg.variables), factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_graphs())
+def test_schedule_matches_the_two_pass_recursion(fg):
+    assert outcome(lambda: schedule(fg).groups) == outcome(lambda: reference_schedule(fg).groups)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(forests(), forests(zeros=True)))
+def test_full_pass_matches_the_clock_cycle_order(fg):
+    forest = _forest(fg)
+    result = outcome(lambda: _sum_product(fg, forest))
+    assert_same_result(result, outcome(lambda: reference_sum_product(fg)))
+    if not isinstance(result, tuple):
+        # The keys follow the pass; the edges are the clock-cycle schedule's.
+        assert list(result.messages) == _all_edges(fg, forest)
+        assert sorted(result.messages) == sorted(schedule(fg).all_edges())
+        assert all(np.array_equal(conditioned_sum_product(fg, {})[v], result.marginals[v])
+                   for v in fg.var_names)
+    for part in components(fg):
+        assert_same_result(outcome(lambda: sum_product(part)), outcome(lambda: reference_sum_product(part)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(forests(), forests(zeros=True)))
+def test_factor_joint_matches_the_full_pass_plus_patch(fg):
+    for part in components(fg):
+        for fname in part.factors:
+            joint = outcome(lambda: factor_joint(part, fname))
+            expected = outcome(lambda: reference_factor_joint(part, fname))
+            if isinstance(expected, tuple):
+                # Both paths fail only when the component's partition function is 0.
+                assert isinstance(joint, tuple) and joint[0] is expected[0] is NumericError
+            else:
+                assert joint.scope == expected.scope
+                assert np.array_equal(joint.values, expected.values)
+    if len(components(fg)) > 1:
+        for fname in fg.factors:
+            assert outcome(lambda: factor_joint(fg, fname)) == outcome(
+                lambda: reference_factor_joint(fg, fname)) == (
+                ValidationError, "factor graph is not a connected tree")
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_graphs())
+def test_loops_and_forests_raise_as_before(fg):
+    try:
+        connected = len(_forest(fg)) == 1
+    except ValidationError:
+        connected = None
+    for fname in fg.factors:
+        if connected is None or not connected:
+            assert outcome(lambda: factor_joint(fg, fname)) == outcome(
+                lambda: reference_factor_joint(fg, fname))
+    if connected is None:
+        expected = (ValidationError, "factor graph has a loop")
+        assert outcome(lambda: sum_product(fg)) == expected
+        assert outcome(lambda: conditioned_sum_product(fg, {})) == expected
+        assert outcome(lambda: schedule(fg)) == outcome(lambda: reference_schedule(fg)) == expected
+    elif not connected:
+        assert outcome(lambda: sum_product(fg)) == (ValidationError, "factor graph is not a connected tree")
+
+
+def test_factor_joint_refuses_an_unknown_factor_first():
+    fg = FactorGraph([("a", 2), ("b", 2)], {"fa": DiscreteFactor([("a", 2)], [1, 3])})
+    assert outcome(lambda: factor_joint(fg, "zz")) == (ValidationError, "unknown factor 'zz'")
+
+
+def test_zero_normaliser_names_the_same_variable():
+    # Every message is nonzero, yet the product at a vanishes: both paths fail there.
+    fg = FactorGraph([("a", 2), ("b", 2)], {
+        "f": DiscreteFactor([("a", 2), ("b", 2)], [1, 0, 0, 1]),
+        "ua": DiscreteFactor([("a", 2)], [1, 0]),
+        "ub": DiscreteFactor([("b", 2)], [0, 1]),
+    })
+    expected = (NumericError, "zero normaliser at variable 'a'")
+    assert outcome(lambda: sum_product(fg)) == outcome(lambda: reference_sum_product(fg)) == expected
+    assert outcome(lambda: factor_joint(fg, "f")) == (NumericError, "zero normaliser in factor joint")

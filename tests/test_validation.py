@@ -83,6 +83,9 @@ FINITE = {
     **{f"KalmanModel {name}": (name, lambda v, name=name: _kalman(name, v)) for name in KALMAN},
     "ising2_mle lo": ("lo", lambda v: learning.ising2_mle(SPINS, lo=v)),
     "ising2_mle hi": ("hi", lambda v: learning.ising2_mle(SPINS, hi=v)),
+    "ess samples": ("samples", lambda v: samplers.ess([0.0, v, 1.0])),
+    "gaussian_mle data": ("data", lambda v: learning.gaussian_mle([1.0, v])),
+    "gaussian_mean_posterior data": ("data", lambda v: learning.gaussian_mean_posterior([1.0, v], 1.0, PRIOR)),
 }
 
 # name -> a call taking a matrix that should be symmetric.
@@ -287,3 +290,35 @@ class TestFactorOverflow:
     def test_underflow_to_zero_is_allowed(self):
         tiny = DiscreteFactor([("a", 1)], [1e-300])
         assert product([tiny, tiny]).values.tolist() == [0.0]
+
+
+# name -> (what the error names, its range message for an integer out of range, a call
+# taking the value under test in place of an HMM step or a mean-field coordinate).
+INDICES = {
+    "predict_hidden t": ("prediction step t", "prediction step t=3 must lie in [1, 2]",
+                         lambda t: sequential.predict_hidden(HMM, [0], t)),
+    "predict_visible t": ("prediction step t", "prediction step t=3 must lie in [1, 2]",
+                          lambda t: sequential.predict_visible(HMM, [0], t)),
+    "smooth_pairwise t": ("pair step t", "pair step t=3 must lie in [2, 2]",
+                          lambda t: sequential.smooth_pairwise(HMM, [0, 1], t)),
+    "ffbs_backward_kernel t": ("kernel step t", "kernel step t=3 must lie in [2, 2]",
+                               lambda t: sequential.ffbs_backward_kernel(HMM, [0, 1], t)),
+    "mf_update i": ("coordinate", "coordinate 3 out of range", lambda i: variational.mf_update(TARGET, MF_INIT, i)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, math.nan, -1])
+@pytest.mark.parametrize("site", sorted(INDICES))
+def test_step_or_coordinate_must_be_an_integer(site, value):
+    # 2.5 and 2.0 used to escape as a TypeError (an IndexError in mf_update).
+    name, _, call = INDICES[site]
+    with pytest.raises(ValidationError, match=f"^{name} must be a non-negative integer, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", sorted(INDICES))
+def test_step_or_coordinate_keeps_its_range_message(site):
+    _, message, call = INDICES[site]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(3)
+    call(np.int64(1) if site == "mf_update i" else np.int64(2))
