@@ -24,7 +24,7 @@ from .numerics import count, float_array
 Scope = tuple[tuple[str, int], ...]
 
 # Largest table ``ones``, ``product`` and ``eliminate`` may build: 2**24
-# float64 entries, 128 MiB.
+# float64 entries, 128 MiB.  It is also the largest cardinality.
 MAX_TABLE_ENTRIES = 2**24
 
 # Most axes ``DiscreteFactor.ndarray`` gives: NumPy 1.x's limit (NumPy 2 allows 64).
@@ -38,6 +38,8 @@ def _validate_scope(scope: Iterable[tuple[str, int]]) -> Scope:
         name = str(name)
         try:
             card = count(card, "cardinality")
+            if card > MAX_TABLE_ENTRIES:  # no table over this variable fits
+                raise ValidationError(f"cardinality {card} is over the limit of {MAX_TABLE_ENTRIES}")
         except ValidationError as exc:
             raise ValidationError(f"variable {name!r}: {exc}") from None
         if name in names:
@@ -111,43 +113,6 @@ class DiscreteFactor:
 def _in_range(arr: np.ndarray) -> bool:
     """Whether every entry is finite and non-negative; NaN fails ``min() >= 0``."""
     return bool(arr.min() >= 0.0 and arr.max() < math.inf)
-
-
-def _document_factors(entries: list, declared: Mapping[str, int]) -> dict[str, DiscreteFactor] | None:
-    """The ``factors`` section of a model document over the ``declared`` variables, each
-    entry ``{"name", "scope": [names], "values": [numbers]}``; or None if an entry is not
-    of that form or breaks a rule, and the caller then checks the entries one by one to
-    report the first fault.  Every table is a read-only slice of one array, which is
-    built and checked once for the whole section."""
-    cards = {name: card for name, card in declared.items() if card >= 1}
-    found: dict[str, tuple[Scope, list]] = {}
-    for entry in entries:
-        try:
-            name, scope_names, table = str(entry["name"]), entry["scope"], entry["values"]
-            scope = tuple((v, cards[v]) for v in scope_names)
-        except (KeyError, TypeError):  # a missing field, an entry that is no object, an undeclared variable
-            return None
-        if (type(scope_names) is not list or type(table) is not list or name in found
-                or len(set(scope_names)) != len(scope_names)):
-            return None
-        found[name] = scope, table
-    if any(len(table) != math.prod(card for _, card in scope) for scope, table in found.values()):
-        return None
-    flat = [x for _, table in found.values() for x in table]
-    if not set(map(type, flat)) <= {int, float}:  # refuses bool, str, null and nested lists
-        return None
-    try:
-        arr = np.array(flat, dtype=float)
-    except OverflowError:
-        return None
-    if not _in_range(arr):
-        return None
-    arr.setflags(write=False)
-    out, start = {}, 0
-    for name, (scope, table) in found.items():
-        out[name] = DiscreteFactor._trusted(scope, arr[start:start + len(table)])
-        start += len(table)
-    return out
 
 
 def _table_size(scope: Scope) -> int:

@@ -1,7 +1,8 @@
 """Model documents: the JSON file format shared by the CLI.
 
 A document is a JSON object with optional sections.  ``variables`` +
-``factors`` describe a factor graph: a factor's ``scope`` is a list of
+``factors`` describe a factor graph: every ``name`` is a JSON string, a
+variable's ``card`` is at most 2**24, a factor's ``scope`` is a list of
 variable names, and its ``values`` are JSON numbers with the first scope
 variable varying fastest, flat or as nested rectangular lists read row by
 row.  ``dag``, ``ugm``, ``hmm``, ``kalman``, ``rbm``, and ``meanfield``
@@ -18,6 +19,7 @@ section, so a graph-only document is parsed without NumPy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -82,8 +84,20 @@ def _number(mapping: dict, key: str, where: str, kind=float):
         raise ValidationError(f"{where}: field {key!r} must be {noun}, got {value!r}") from None
 
 
+def _is_name(value) -> bool:
+    return isinstance(value, str)
+
+
 def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, list) and all(map(_is_name, value))
+
+
+def _name(entry: dict, where: str) -> str:
+    """The ``name`` field of a ``variables`` or ``factors`` entry, a JSON string."""
+    name = _expect(entry, "name", where)
+    if not _is_name(name):
+        raise ValidationError(f"{where}: field 'name' must be a string, got {name!r}")
+    return name
 
 
 def _names(value, where: str) -> list[str]:
@@ -105,7 +119,7 @@ def parse_model_dict(doc: dict) -> ModelDocument:
     out = ModelDocument()
 
     for entry in _entries(doc, "variables"):
-        name = str(_expect(entry, "name", "variables"))
+        name = _name(entry, "variables")
         card = _number(entry, "card", f"variable {name!r}", int)
         out.variables.append((name, card))
     declared = dict(out.variables)
@@ -114,9 +128,7 @@ def parse_model_dict(doc: dict) -> ModelDocument:
 
     factors = _entries(doc, "factors")
     if factors:
-        from .factors import _document_factors
-
-        out.factors = _document_factors(factors, declared) or _factors_one_by_one(factors, declared)
+        out.factors = _factors(factors, declared)
     elif "factors" in doc:
         raise ValidationError("'factors' section is empty")
 
@@ -168,14 +180,50 @@ def parse_model_dict(doc: dict) -> ModelDocument:
     return out
 
 
-def _factors_one_by_one(entries: list, declared: dict[str, int]) -> dict[str, DiscreteFactor]:
-    """The ``factors`` section checked entry by entry, so the first fault in document
-    order is the one reported, naming its factor."""
+def _factors(entries: list, declared: dict[str, int]) -> dict[str, DiscreteFactor]:
+    """The ``factors`` section over the ``declared`` variables, each table a read-only slice of
+    one array checked once.  A fault ends the pass, and :func:`_first_fault` reports it."""
+    import numpy as np
+
+    from .factors import MAX_TABLE_ENTRIES, DiscreteFactor, _in_range
+
+    cards = {name: card for name, card in declared.items() if 1 <= card <= MAX_TABLE_ENTRIES}
+    found, flat = {}, []
+    try:
+        for entry in entries:
+            # KeyError and TypeError: a missing field, an undeclared variable, or a field or an
+            # entry of another JSON type.
+            name, scope_names, table = entry["name"], entry["scope"], entry["values"]
+            scope = tuple((v, cards[v]) for v in scope_names)
+            # Nested rows of equal length, read row by row; ragged rows stay lists, which are no numbers.
+            while table and isinstance(table[0], list) and all(
+                    isinstance(row, list) and len(row) == len(table[0]) for row in table):
+                table = [x for row in table for x in row]
+            if (not (isinstance(name, str) and isinstance(scope_names, list) and isinstance(table, list))
+                    or name in found or len(set(scope_names)) != len(scope_names)
+                    or len(table) != math.prod(card for _, card in scope)):
+                raise ValueError
+            found[name] = scope, slice(len(flat), len(flat) + len(table))
+            flat += table
+        # The rule of _check_numbers, once per type: bool, str, null and lists are no numbers.
+        if (any(t is bool or not issubclass(t, (int, float)) for t in set(map(type, flat)))
+                or not _in_range(arr := np.array(flat, dtype=float))):
+            raise ValueError
+    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an integer too large for a float
+        _first_fault(entries, declared)
+        raise AssertionError("the one-array pass refused a 'factors' section with no fault") from None
+    arr.setflags(write=False)
+    return {name: DiscreteFactor._trusted(scope, arr[span]) for name, (scope, span) in found.items()}
+
+
+def _first_fault(entries: list, declared: dict[str, int]) -> None:
+    """Raise the first fault of the ``factors`` section in document order, naming its
+    factor; the public ``DiscreteFactor`` judges each table, which is then dropped."""
     from .factors import DiscreteFactor
 
-    out: dict[str, DiscreteFactor] = {}
+    seen = set()
     for entry in entries:
-        name = str(_expect(entry, "name", "factors"))
+        name = _name(entry, "factors")
         where = f"factor {name!r}"
         scope_names = _names(_expect(entry, "scope", where), f"{where}: 'scope'")
         for v in scope_names:
@@ -184,13 +232,12 @@ def _factors_one_by_one(entries: list, declared: dict[str, int]) -> dict[str, Di
         values = _expect(entry, "values", where)
         _check_numbers(values, where)
         try:
-            factor = DiscreteFactor([(v, declared[v]) for v in scope_names], values)
+            DiscreteFactor([(v, declared[v]) for v in scope_names], values)
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
-        if name in out:
+        if name in seen:
             raise ValidationError(f"duplicate factor name {name!r}")
-        out[name] = factor
-    return out
+        seen.add(name)
 
 
 def _check_numbers(values, where: str) -> None:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgmlab import cli
+from pgmlab import factors as factors_module
 from pgmlab.errors import NumericError, ValidationError
 from pgmlab.factors import DiscreteFactor, normalise, product, sum_marginalise
 from pgmlab.modelio import parse_model_dict, serialise_model
@@ -228,3 +229,125 @@ def test_a_field_that_is_not_of_its_json_type_exits_2(tmp_path, capsys, doc, arg
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and field in err
     assert "Traceback" not in err
+
+
+# The exact text of each fault at k = 1.
+FAULT_TEXTS = {
+    "undeclared variable": "factor 'f1': scope references undeclared variable 'ghost'",
+    "variable twice": "factor 'f1': duplicate variable 'v1' in scope",
+    "wrong size": "factor 'f1': expected 4 values for scope (('v1', 2), ('v2', 2)), got 3",
+    "nan": "factor 'f1': factor values must be finite",
+    "inf": "factor 'f1': factor values must be finite",
+    "negative": "factor 'f1': factor values must be non-negative",
+    "non-numeric": "factor 'f1': field 'values' must hold numbers, got '0.5'",
+    "bool": "factor 'f1': field 'values' must hold numbers, got True",
+    "ragged": "factor 'f1': factor values must be numeric and rectangular",
+    "duplicate factor name": "duplicate factor name 'f0'",
+    "card 0": "factor 'f1': variable 'z': cardinality must be a positive integer, got 0",
+    "string scope": "factor 'f1': 'scope' must be a list of names",
+    "missing values": "factor 'f1': missing field 'values'",
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_each_fault_reads_its_exact_text(fault):
+    assert fault_message(with_faults((fault, 1))) == FAULT_TEXTS[fault]
+
+
+def test_nested_and_flat_tables_share_one_buffer_and_round_trip():
+    doc = chain_document()
+    for k in range(0, N_FACTORS, 3):  # every third table nested, row by row
+        values = doc["factors"][k]["values"]
+        doc["factors"][k]["values"] = [values[:2], values[2:]]
+    doc["factors"][4]["values"] = [[[x] for x in doc["factors"][4]["values"][:2]],
+                                   [[x] for x in doc["factors"][4]["values"][2:]]]
+    parsed = parse_model_dict(copy.deepcopy(doc))
+    tables = [f.values for f in parsed.factors.values()]
+    assert all(not t.flags.writeable for t in tables)
+    assert all(t.base is tables[0].base for t in tables)
+    assert serialise_model(parsed) == chain_document()  # written flat
+    assert parse_model_dict(serialise_model(parsed)).factors == parsed.factors
+
+
+# A value for a field of one factor entry: some valid, most not.
+FIELD_VALUES = st.sampled_from([
+    "f3", "v0", "ghost", None, True, 2, 2.5, ["f3"], [], [[]], ["v0"], ["v0", "v1"], ["v1", "v0"], ["v0", "v0"],
+    ["v0", "ghost"], ["v0", "z"], "v0v1", [1.0, 2.0], [1, 2, 3, 4], [[1, 2], [3, 4]], [[1, 2], [3]],
+    [[1], [2, 3, 4]], [[1, 2], 3], [1, [2, 3], 4], [[[1], [2]], [[3], [4]]], [0.5, True], [0.5, None], [0.5, "1"],
+    [1, 10**400], [1, -1], [1, math.nan], [1, math.inf], (1.0, 2.0), {"a": 1},
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["name", "scope", "values"]),
+                                st.one_of(FIELD_VALUES, st.just("drop"))), max_size=3))
+def test_a_section_parses_to_one_buffer_or_raises_a_validation_error(edits):
+    doc = chain_document()
+    doc["factors"] = doc["factors"][:4]
+    for k, key, value in edits:
+        if value == "drop":
+            doc["factors"][k].pop(key, None)
+        else:
+            doc["factors"][k][key] = copy.deepcopy(value)
+    try:
+        parsed = parse_model_dict(copy.deepcopy(doc))
+    except ValidationError:
+        return
+    declared = {v["name"]: v["card"] for v in doc["variables"]}
+    tables = [f.values for f in parsed.factors.values()]
+    assert all(t.base is tables[0].base and not t.flags.writeable for t in tables)
+    assert all(isinstance(name, str) for name in parsed.factors)
+    for entry in doc["factors"]:
+        public = DiscreteFactor([(v, declared[v]) for v in entry["scope"]], entry["values"])
+        assert parsed.factors[entry["name"]] == public
+
+
+class TestNamesAreStrings:
+    def test_a_variable_name_must_be_a_string(self):
+        doc = chain_document()
+        doc["variables"].append({"name": None, "card": 2})
+        assert fault_message(doc) == "variables: field 'name' must be a string, got None"
+
+    @pytest.mark.parametrize("name", [["x"], None, 7])
+    def test_a_factor_name_must_be_a_string(self, name):
+        doc = chain_document()
+        doc["factors"][24]["name"] = name
+        assert fault_message(doc) == f"factors: field 'name' must be a string, got {name!r}"
+
+    def test_a_factor_name_fault_keeps_its_place_in_document_order(self):
+        doc = with_faults(("undeclared variable", 10))
+        doc["factors"][30]["name"] = 7
+        assert fault_message(doc) == alone("undeclared variable", 10)
+        doc = with_faults(("undeclared variable", 30))
+        doc["factors"][10]["name"] = 7
+        assert fault_message(doc) == "factors: field 'name' must be a string, got 7"
+
+    @pytest.mark.parametrize("argv", [["fg", "marginal", "--var", "None"], ["fg", "map"]])
+    def test_a_null_variable_name_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "null.model"
+        path.write_text(json.dumps({"variables": [*AB, {"name": None, "card": 2}],
+                                    "factors": [{"name": "f", "scope": ["a", "b"], "values": [1, 2, 3, 4]}]}))
+        assert cli.main(argv[:2] + ["--model", str(path)] + argv[2:]) == 2
+        err = capsys.readouterr().err
+        assert err == "validation error: variables: field 'name' must be a string, got None\n"
+
+
+class TestCardinalityLimit:
+    def test_a_scope_refuses_a_cardinality_over_the_table_cap(self):
+        with pytest.raises(ValidationError) as info:
+            DiscreteFactor([("a", 2), ("b", 2**24 + 1)], [1.0])
+        assert str(info.value) == "variable 'b': cardinality 16777217 is over the limit of 16777216"
+
+    def test_a_document_refuses_a_cardinality_over_the_table_cap(self, monkeypatch):
+        monkeypatch.setattr(factors_module, "MAX_TABLE_ENTRIES", 3)
+        doc = {"variables": [{"name": "a", "card": 4}], "factors": [{"name": "f", "scope": ["a"], "values": [1, 2, 3, 4]}]}
+        assert fault_message(doc) == "factor 'f': variable 'a': cardinality 4 is over the limit of 3"
+
+    @pytest.mark.parametrize("argv", [["fg", "marginal", "--var", "a"], ["fg", "map"]])
+    def test_a_huge_unused_cardinality_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "huge.model"
+        path.write_text(json.dumps({"variables": [{"name": "a", "card": 10**12}, *AB[1:]],
+                                    "factors": [{"name": "f", "scope": ["b"], "values": [1, 2]}]}))
+        assert cli.main(argv[:2] + ["--model", str(path)] + argv[2:]) == 2
+        err = capsys.readouterr().err
+        assert err == "validation error: variable 'a': cardinality 1000000000000 is over the limit of 16777216\n"
