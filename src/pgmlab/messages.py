@@ -14,13 +14,18 @@ Every query walks one rooted order, each component's breadth-first (node,
 parent) pairs: :func:`marginal`, :func:`max_sum_map` and :func:`factor_joint`
 send only the messages toward their root, and :func:`sum_product` sends those
 and then the messages away from it, never one toward a leaf factor node.
+Within a pass a message is a bare (payload, log scale) pair: its inputs are
+broadcast along the factor's axes, max-sum moves the target axis first by a
+transpose, reductions call the ufuncs directly, and a max-sum query enters
+NumPy's divide-by-zero error state once, not once per table.  Only
+:func:`sum_product` turns the pairs into :class:`Message` objects.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,28 +173,40 @@ def schedule(fg: FactorGraph) -> Schedule:
     return Schedule(tuple(tuple(sorted(g)) for g in groups))
 
 
+class _Sent(NamedTuple):
+    """A message within a pass: the payload and log scale of a :class:`Message`."""
+
+    payload: np.ndarray
+    log_scale: float
+
+
 class _SumProduct:
     """Linear domain: products summed out, messages rescaled to a max of one."""
 
+    domain = "linear"
     combine = np.multiply
     table = staticmethod(DiscreteFactor.ndarray)
 
     @staticmethod
     def marginalise(edge, nd, axis):
-        return nd.sum(axis=tuple(k for k in range(nd.ndim) if k != axis))
+        if nd.ndim == 1:  # a one-variable factor: nothing to sum out
+            return nd
+        return np.add.reduce(nd, (*range(axis), *range(axis + 1, nd.ndim)))
 
     @staticmethod
     def message(u, v, payload, scale):
-        peak = float(payload.max())
+        peak = float(np.maximum.reduce(payload))
         if peak <= 0.0:
             raise NumericError(f"message {u}->{v} is identically zero")
-        return Message(u, v, payload / peak, "linear", scale + math.log(peak))
+        return _Sent(payload / peak, scale + math.log(peak))
 
 
 class _MaxSum:
     """Log domain: sums maximised out.  ``argmax[(f, v)]`` gives, per state of v, the
-    flat C-order index of the best joint state of f's other variables (ties to the lowest)."""
+    flat C-order index of the best joint state of f's other variables (ties to the lowest).
+    Tables of zeros take logs of zero, so a query enters ``np.errstate(divide="ignore")``."""
 
+    domain = "log"
     combine = np.add
 
     def __init__(self):
@@ -197,58 +214,74 @@ class _MaxSum:
 
     @staticmethod
     def table(fac):
-        with np.errstate(divide="ignore"):
-            return np.log(fac.ndarray())
+        return np.log(fac.ndarray())
 
     def marginalise(self, edge, nd, axis):
-        moved = np.moveaxis(nd, axis, 0).reshape(nd.shape[axis], -1)
-        self.argmax[edge] = moved.argmax(axis=1)
-        return moved.max(axis=1)
+        # The target axis first, the others in order: np.moveaxis(nd, axis, 0) without its checks.
+        rows = nd.transpose((axis, *range(axis), *range(axis + 1, nd.ndim))).reshape(nd.shape[axis], -1)
+        self.argmax[edge] = rows.argmax(axis=1)
+        return np.maximum.reduce(rows, 1)
 
     @staticmethod
     def message(u, v, payload, scale):
-        return Message(u, v, payload, "log")
+        return _Sent(payload, scale)
 
 
 def _combined(fg: FactorGraph, node: str, skip: str | None, incoming: Messages,
               semiring=_SumProduct) -> tuple[np.ndarray, float]:
-    """A node's own table (the identity at a variable) combined with every message into it
-    but the one from ``skip``, each along its variable's axis; plus their summed log scales."""
-    sources = fg._adjacent[node]
-    if node in fg.factors:
-        nd, axes = semiring.table(fg.factors[node]), range(len(sources))
-    else:
-        nd, axes = np.full(fg.card(node), float(semiring.combine.identity)), [0] * len(sources)
+    """A node's own table combined with every message into it but the one from ``skip``,
+    each along its variable's axis; plus their summed log scales.  A variable has no table:
+    it starts from its first message, or from the identity if it has none."""
+    fac = fg.factors.get(node)
+    nd = None if fac is None else semiring.table(fac)
     scale = 0.0
-    for axis, source in zip(axes, sources):
+    for axis, source in enumerate(fg._adjacent[node]):
         if source != skip:
             msg = incoming[(source, node)]
-            shape = [1] * nd.ndim
-            shape[axis] = -1
-            nd = semiring.combine(nd, msg.payload.reshape(shape))
             scale += msg.log_scale
+            if nd is None:
+                nd = msg.payload
+            elif fac is None or axis == nd.ndim - 1:
+                nd = semiring.combine(nd, msg.payload)
+            else:  # broadcast along the axis: a length-one axis for each later variable
+                nd = semiring.combine(nd, msg.payload.reshape((-1,) + (1,) * (nd.ndim - 1 - axis)))
+    if nd is None:
+        nd = np.full(fg._cards[node], float(semiring.combine.identity))
     return nd, scale
+
+
+def _send(fg: FactorGraph, u: str, v: str, incoming, semiring) -> _Sent:
+    """The message u->v, from the messages into u."""
+    nd, scale = _combined(fg, u, v, incoming, semiring)
+    if u in fg.factors:
+        nd = semiring.marginalise((u, v), nd, fg.factors[u].var_names.index(v))
+    return semiring.message(u, v, nd, scale)
 
 
 def _factor_to_var(fg: FactorGraph, fname: str, var: str, incoming: Messages,
                    semiring=_SumProduct) -> Message:
-    nd, scale = _combined(fg, fname, var, incoming, semiring)
-    axis = fg.factors[fname].var_names.index(var)
-    return semiring.message(fname, var, semiring.marginalise((fname, var), nd, axis), scale)
+    payload, scale = _send(fg, fname, var, incoming, semiring)
+    return Message(fname, var, payload, semiring.domain, scale)
 
 
 def _var_to_factor(fg: FactorGraph, var: str, fname: str, incoming: Messages,
                    semiring=_SumProduct) -> Message:
-    return semiring.message(var, fname, *_combined(fg, var, fname, incoming, semiring))
+    payload, scale = _send(fg, var, fname, incoming, semiring)
+    return Message(var, fname, payload, semiring.domain, scale)
+
+
+def _sweep(fg: FactorGraph, edges: Sequence[Edge], semiring) -> dict[Edge, _Sent]:
+    """Compute each edge's message in turn; its inputs must come earlier."""
+    sent: dict[Edge, _Sent] = {}
+    for u, v in edges:
+        sent[(u, v)] = _send(fg, u, v, sent, semiring)
+    return sent
 
 
 def _pass(fg: FactorGraph, edges: Sequence[Edge], semiring) -> dict[Edge, Message]:
-    """Compute each edge's message in turn; its inputs must come earlier."""
-    messages: dict[Edge, Message] = {}
-    for u, v in edges:
-        step = _factor_to_var if u in fg.factors else _var_to_factor
-        messages[(u, v)] = step(fg, u, v, messages, semiring)
-    return messages
+    """:func:`_sweep` with each message as a :class:`Message`."""
+    return {(u, v): Message(u, v, payload, semiring.domain, scale)
+            for (u, v), (payload, scale) in _sweep(fg, edges, semiring).items()}
 
 
 def _inward(order: Sequence[tuple[str, str | None]]) -> list[Edge]:
@@ -347,16 +380,22 @@ def conditioned_sum_product(fg: FactorGraph, evidence: Mapping[str, int]) -> dic
 
 
 def marginal(fg: FactorGraph, var: str) -> np.ndarray:
-    """The normalised marginal of one variable, from one inward pass over its component.
+    """The normalised marginal of one variable, from one inward pass over each component.
 
     Each message is the one :func:`sum_product` would send along the same edge, so the
     result is bit-identical to its (and :func:`conditioned_sum_product`'s) marginal, but
-    the messages flowing away from ``var`` and the other components are never computed.
-    The whole graph is still checked for loops.
+    the messages flowing away from ``var`` are never computed.  The other components of a
+    forest are only checked for mass: a zero message or a zero normaliser at one of their
+    roots means the joint, and so the marginal, has none, and raises :class:`NumericError`.
+    A connected graph has no other component.  The whole graph is still checked for loops.
     """
     fg.card(var)  # an unknown variable is refused before the walk
-    messages = _pass(fg, _inward(_forest(fg, var)[0]), _SumProduct)
-    payload, _ = _combined(fg, var, None, messages)
+    components = _forest(fg, var)
+    sent = _sweep(fg, [e for component in components for e in _inward(component)], _SumProduct)
+    for component in components[1:]:
+        top = component[0][0]
+        _normaliser(_combined(fg, top, None, sent)[0], f"at {top!r}")
+    payload, _ = _combined(fg, var, None, sent)
     return payload / _normaliser(payload, f"at variable {var!r}")
 
 
@@ -368,7 +407,7 @@ def factor_joint(fg: FactorGraph, fname: str) -> DiscreteFactor:
     components = _forest(fg, fname)
     if len(components) != 1:
         raise ValidationError("factor graph is not a connected tree")
-    nd, _ = _combined(fg, fname, None, _pass(fg, _inward(components[0]), _SumProduct))
+    nd, _ = _combined(fg, fname, None, _sweep(fg, _inward(components[0]), _SumProduct))
     return DiscreteFactor.from_ndarray(fg.factors[fname].scope, nd / _normaliser(nd, "in factor joint"))
 
 
@@ -391,23 +430,26 @@ def max_sum_map(fg: FactorGraph, root: str) -> MaxSumResult:
         raise ValidationError(f"root {root!r} is not a variable")
     order = [pair for component in _forest(fg, root) for pair in component]
     semiring = _MaxSum()
-    messages = _pass(fg, _inward(order), semiring)
     assignment: dict[str, int] = {}
     log_score = 0.0
-    # Backtrack from each root down, in breadth-first order.
-    for node, parent in order:
-        if parent is None:
-            belief, _ = _combined(fg, node, None, messages, semiring)
-            if not np.any(np.isfinite(belief)):
-                raise NumericError("all configurations have zero probability")
-            best = int(np.argmax(belief))
-            log_score += float(belief.flat[best])
-            assignment[node] = best  # an empty-scope factor's entry is dropped below
-        elif node in fg.factors:
-            others = [w for w in fg.factors[node].var_names if w != parent]
-            flat = semiring.argmax[(node, parent)][assignment[parent]]
-            states = np.unravel_index(flat, [fg.card(w) for w in others])
-            assignment.update((w, int(s)) for w, s in zip(others, states))
+    with np.errstate(divide="ignore"):
+        sent = _sweep(fg, _inward(order), semiring)
+        # Backtrack from each root down, in breadth-first order.
+        for node, parent in order:
+            if parent is None:
+                belief, _ = _combined(fg, node, None, sent, semiring)
+                if not np.any(np.isfinite(belief)):
+                    raise NumericError("all configurations have zero probability")
+                best = int(np.argmax(belief))
+                log_score += float(belief.flat[best])
+                assignment[node] = best  # an empty-scope factor's entry is dropped below
+            elif node in fg.factors:
+                # The C-order flat index of the other variables' states, last variable fastest.
+                flat = int(semiring.argmax[(node, parent)][assignment[parent]])
+                fac = fg.factors[node]
+                for w, card in zip(reversed(fac.var_names), reversed(fac.cards)):
+                    if w != parent:
+                        flat, assignment[w] = divmod(flat, card)
     return MaxSumResult({v: assignment[v] for v in fg.var_names}, log_score)
 
 

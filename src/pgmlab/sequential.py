@@ -5,7 +5,7 @@ Transition and emission matrices are row-stochastic: ``transitions[t][i, j]``
 is p(h_{t+2}=j | h_{t+1}=i) and ``emissions[t][i, k]`` is p(v_{t+1}=k |
 h_{t+1}=i).  All matrices may vary per step; use :meth:`DiscreteHmm.homogeneous`
 for the common time-invariant case.  A matrix object repeated across steps
-is validated once and stored once.
+is validated once and stored once, and Viterbi takes its log once.
 
 Filtered quantities are stored normalised with the per-step normalisers
 folded into a running log term, so long chains cannot underflow while the
@@ -37,15 +37,15 @@ def _check_row_stochastic(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-def _check_each(matrices, what: str) -> tuple[np.ndarray, ...]:
-    """Validate each distinct matrix object once; a step that repeats an
-    object shares its validated array, so a time-invariant model holds one."""
-    matrices = list(matrices)  # keeps every input alive while ids key the cache
-    checked: dict[int, np.ndarray] = {}
+def _once_each(fn, matrices) -> tuple[np.ndarray, ...]:
+    """``fn`` of each matrix, called once per distinct matrix object; a step that
+    repeats an object shares its result, so a time-invariant model holds one."""
+    matrices = list(matrices)  # keeps every input alive while ids key the results
+    done: dict[int, np.ndarray] = {}
     for m in matrices:
-        if id(m) not in checked:
-            checked[id(m)] = _check_row_stochastic(m, what)
-    return tuple(checked[id(m)] for m in matrices)
+        if id(m) not in done:
+            done[id(m)] = fn(m)
+    return tuple(done[id(m)] for m in matrices)
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class DiscreteHmm:
         if abs(prior.sum() - 1.0) > _ROW_TOL:
             raise ValidationError("prior must sum to 1")
         k = prior.size
-        trans = _check_each(transitions, "transition matrix")
-        emis = _check_each(emissions, "emission matrix")
+        trans = _once_each(lambda m: _check_row_stochastic(m, "transition matrix"), transitions)
+        emis = _once_each(lambda m: _check_row_stochastic(m, "emission matrix"), emissions)
         if len(emis) != len(trans) + 1:
             raise ValidationError("need one emission matrix per step and one transition per gap")
         for t in trans:
@@ -109,7 +109,11 @@ def alpha_filter(hmm: DiscreteHmm, observations: Sequence[int]) -> tuple[list[np
     transition, multiplies in the evidence, and renormalises; the product of
     the per-step normalisers is the likelihood.
     """
-    obs = _check_observations(hmm, observations)
+    return _filter(hmm, _check_observations(hmm, observations))
+
+
+def _filter(hmm: DiscreteHmm, obs: list[int]) -> tuple[list[np.ndarray], float]:
+    """:func:`alpha_filter` of observations that :func:`_check_observations` passed."""
     filtered: list[np.ndarray] = []
     log_lik = 0.0
     current = hmm.prior
@@ -117,7 +121,7 @@ def alpha_filter(hmm: DiscreteHmm, observations: Sequence[int]) -> tuple[list[np
         if t > 0:
             current = hmm.transitions[t - 1].T @ current
         weighted = hmm.emissions[t][:, v] * current
-        norm = float(weighted.sum())
+        norm = float(np.add.reduce(weighted))
         if norm <= 0.0:
             raise ImpossibleEvidenceError(f"evidence up to step {t + 1} has probability zero")
         current = weighted / norm
@@ -137,7 +141,7 @@ def hidden_prediction(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> 
     u = len(obs)
     if not u <= count(t, "prediction step t", least=0) <= hmm.n_steps:
         raise ValidationError(f"prediction step t={t} must lie in [{u}, {hmm.n_steps}]")
-    filtered, log_lik = alpha_filter(hmm, obs)
+    filtered, log_lik = _filter(hmm, obs)
     current = filtered[-1]
     for s in range(u + 1, t + 1):
         current = hmm.transitions[s - 2].T @ current
@@ -162,7 +166,7 @@ def _backward(hmm: DiscreteHmm, obs: list[int]) -> list[np.ndarray]:
     betas = [np.ones(hmm.n_states)]
     for t in range(len(obs) - 1, 0, -1):
         beta = hmm.transitions[t - 1] @ (hmm.emissions[t][:, obs[t]] * betas[-1])
-        peak = beta.max()
+        peak = np.maximum.reduce(beta)
         if peak <= 0.0:
             raise ImpossibleEvidenceError("evidence has probability zero")
         betas.append(beta / peak)
@@ -175,15 +179,12 @@ def smooth(hmm: DiscreteHmm, observations: Sequence[int]) -> list[np.ndarray]:
     obs = _check_observations(hmm, observations)
     if len(obs) != hmm.n_steps:
         raise ValidationError("smoothing needs the full observation sequence")
-    filtered, _ = alpha_filter(hmm, obs)
-    out = []
-    for alpha, beta in zip(filtered, _backward(hmm, obs)):
-        joint = alpha * beta
-        total = joint.sum()
-        if total <= 0.0:
-            raise ImpossibleEvidenceError("evidence has probability zero")
-        out.append(joint / total)
-    return out
+    filtered, _ = _filter(hmm, obs)
+    joint = np.array(filtered) * np.array(_backward(hmm, obs))  # row t: step t + 1
+    totals = np.add.reduce(joint, 1)
+    if np.any(totals <= 0.0):
+        raise ImpossibleEvidenceError("evidence has probability zero")
+    return list(joint / totals[:, None])
 
 
 def smooth_pairwise(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np.ndarray:
@@ -198,7 +199,7 @@ def smooth_pairwise(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np
         raise ValidationError("pairwise smoothing needs the full observation sequence")
     if not 2 <= count(t, "pair step t", least=0) <= n:
         raise ValidationError(f"pair step t={t} must lie in [2, {n}]")
-    filtered, _ = alpha_filter(hmm, obs)
+    filtered, _ = _filter(hmm, obs)
     beta = _backward(hmm, obs)[t - 1]
     joint = (
         filtered[t - 2][:, None]
@@ -220,13 +221,16 @@ def viterbi(hmm: DiscreteHmm, observations: Sequence[int]) -> tuple[list[int], f
     obs = _check_observations(hmm, observations)
     n = len(obs)
     with np.errstate(divide="ignore"):
-        scores = np.log(hmm.prior) + np.log(hmm.emissions[0][:, obs[0]])
-        back: list[np.ndarray] = []
-        for t in range(1, n):
-            trans = np.log(hmm.transitions[t - 1])
-            cand = scores[:, None] + trans  # rows: previous state
-            back.append(cand.argmax(axis=0))
-            scores = cand.max(axis=0) + np.log(hmm.emissions[t][:, obs[t]])
+        log_trans = _once_each(np.log, hmm.transitions[:n - 1])
+        log_emis = _once_each(np.log, hmm.emissions[:n])
+        scores = np.log(hmm.prior) + log_emis[0][:, obs[0]]
+    cols = np.arange(hmm.n_states)
+    back: list[np.ndarray] = []
+    for t in range(1, n):
+        cand = scores[:, None] + log_trans[t - 1]  # rows: previous state
+        best = cand.argmax(axis=0)
+        back.append(best)
+        scores = cand[best, cols] + log_emis[t][:, obs[t]]
     if not np.any(np.isfinite(scores)):
         raise ImpossibleEvidenceError("evidence has probability zero")
     path = [int(scores.argmax())]
@@ -245,7 +249,7 @@ def ffbs_backward_kernel(hmm: DiscreteHmm, observations: Sequence[int], t: int) 
     obs = _check_observations(hmm, observations)
     if not 2 <= count(t, "kernel step t", least=0) <= len(obs):
         raise ValidationError(f"kernel step t={t} must lie in [2, {len(obs)}]")
-    filtered, _ = alpha_filter(hmm, obs)
+    filtered, _ = _filter(hmm, obs)
     return _backward_kernel(hmm, obs, filtered, t)
 
 
@@ -276,7 +280,7 @@ def ffbs_paths(hmm: DiscreteHmm, observations: Sequence[int], rng, n_paths: int)
     n = len(obs)
     if n != hmm.n_steps:
         raise ValidationError("sampling needs the full observation sequence")
-    filtered, _ = alpha_filter(hmm, obs)
+    filtered, _ = _filter(hmm, obs)
     kernels = [_backward_kernel(hmm, obs, filtered, t) for t in range(2, n + 1)]
     paths = np.empty((n_paths, n), dtype=int)
     paths[:, n - 1] = _draw(rng, np.broadcast_to(np.cumsum(filtered[-1]), (n_paths, hmm.n_states)))

@@ -393,6 +393,19 @@ class TestExitCodes:
         assert cli.main(["fg", "marginal", "--model", path, "--var", "a",
                          "--evidence", "a=1"]) == 3
 
+    def test_zero_mass_in_another_component_is_3(self, write_model, capsys):
+        # Evidence b=0 leaves a and c in separate components, and c's has no mass,
+        # so p(b=0) = 0: fg marginal refuses it as fg map and fg eliminate do.
+        model = {"variables": [{"name": n, "card": 2} for n in "abc"],
+                 "factors": [{"name": "fab", "scope": ["a", "b"], "values": [1, 2, 3, 4]},
+                             {"name": "fbc", "scope": ["b", "c"], "values": [0, 1, 0, 1]}]}
+        path = write_model("zero.model", model)
+        for command in (["marginal", "--var", "a"], ["map"], ["eliminate", "--keep", "a"]):
+            assert cli.main(["fg", *command, "--model", path, "--evidence", "b=0"]) == 3
+        model["factors"][1] = {"name": "fc", "scope": ["c"], "values": [0, 0]}
+        assert cli.main(["fg", "marginal", "--model", write_model("zc.model", model), "--var", "a"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_usage_error_is_4(self):
         assert cli.main(["sample", "rejection", "--samples", "10"]) == 4
         assert cli.main(["nonsense"]) == 4

@@ -13,11 +13,14 @@ from pgmlab.errors import NumericError, ValidationError
 from pgmlab.factors import DiscreteFactor
 from pgmlab.messages import (
     FactorGraph,
+    Message,
     Schedule,
     SumProductResult,
     _all_edges,
     _combined,
     _forest,
+    _inward,
+    _MaxSum,
     _normaliser,
     _pass,
     _sum_product,
@@ -31,17 +34,18 @@ from pgmlab.messages import (
     schedule,
     sum_product,
 )
+from pgmlab.modelio import parse_model_dict
 
 
 @st.composite
-def forests(draw, zeros=False):
-    """Up to ten variables of cardinality 2-3.  Each variable after the first
+def forests(draw, zeros=False, cards=(2, 3)):
+    """Up to ten variables of cardinality 2-3, or within ``cards``.  Each variable after the first
     starts a new component or joins an earlier one through a pairwise factor
     (or, with the next variable, a three-way factor); about half the
     variables also get a unary factor.  With ``zeros``, table entries may be
     0, so a component's partition function may be too."""
     n = draw(st.integers(1, 10))
-    cards = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    cards = draw(st.lists(st.integers(*cards), min_size=n, max_size=n))
     names = [f"v{i}" for i in range(n)]
     scopes = []
     i = 1
@@ -209,11 +213,14 @@ def test_marginal_is_the_full_pass_marginal(fg):
                 with pytest.raises(NumericError):
                     marginal(fg, v)
                 continue
+            if whole is None:  # another component has Z = 0, so the joint has none
+                with pytest.raises(NumericError):
+                    marginal(fg, v)
+                continue
             result = marginal(fg, v)
             assert np.array_equal(result, full[v])
             assert np.array_equal(result, conditioned_sum_product(part, {})[v])
-            if whole is not None:
-                assert np.array_equal(result, whole[v])
+            assert np.array_equal(result, whole[v])
 
 
 def test_marginal_of_a_variable_no_factor_uses_is_uniform():
@@ -466,3 +473,169 @@ def test_zero_normaliser_names_the_same_variable():
     expected = (NumericError, "zero normaliser at variable 'a'")
     assert outcome(lambda: sum_product(fg)) == outcome(lambda: reference_sum_product(fg)) == expected
     assert outcome(lambda: factor_joint(fg, "f")) == (NumericError, "zero normaliser in factor joint")
+
+
+# -- the engine against its pre-plan form --------------------------------------
+# The parent engine: each node's table (a variable's identity) times its messages
+# reshaped to the table's full rank, reductions through the ndarray methods,
+# max-sum's target axis moved by np.moveaxis, and np.unravel_index to backtrack.
+# The engine must match it bit for bit.
+
+class ReferenceSumProduct:
+    combine = np.multiply
+    table = staticmethod(DiscreteFactor.ndarray)
+
+    @staticmethod
+    def marginalise(edge, nd, axis):
+        return nd.sum(axis=tuple(k for k in range(nd.ndim) if k != axis))
+
+    @staticmethod
+    def message(u, v, payload, scale):
+        peak = float(payload.max())
+        if peak <= 0.0:
+            raise NumericError(f"message {u}->{v} is identically zero")
+        return Message(u, v, payload / peak, "linear", scale + math.log(peak))
+
+
+class ReferenceMaxSum:
+    combine = np.add
+
+    def __init__(self):
+        self.argmax = {}
+
+    @staticmethod
+    def table(fac):
+        with np.errstate(divide="ignore"):
+            return np.log(fac.ndarray())
+
+    def marginalise(self, edge, nd, axis):
+        moved = np.moveaxis(nd, axis, 0).reshape(nd.shape[axis], -1)
+        self.argmax[edge] = moved.argmax(axis=1)
+        return moved.max(axis=1)
+
+    @staticmethod
+    def message(u, v, payload, scale):
+        return Message(u, v, payload, "log")
+
+
+def reference_combined(fg, node, skip, incoming, semiring):
+    sources = fg._adjacent[node]
+    if node in fg.factors:
+        nd, axes = semiring.table(fg.factors[node]), range(len(sources))
+    else:
+        nd, axes = np.full(fg.card(node), float(semiring.combine.identity)), [0] * len(sources)
+    scale = 0.0
+    for axis, source in zip(axes, sources):
+        if source != skip:
+            msg = incoming[(source, node)]
+            shape = [1] * nd.ndim
+            shape[axis] = -1
+            nd = semiring.combine(nd, msg.payload.reshape(shape))
+            scale += msg.log_scale
+    return nd, scale
+
+
+def reference_pass(fg, edges, semiring):
+    messages = {}
+    for u, v in edges:
+        nd, scale = reference_combined(fg, u, v, messages, semiring)
+        if u in fg.factors:
+            nd = semiring.marginalise((u, v), nd, fg.factors[u].var_names.index(v))
+        messages[(u, v)] = semiring.message(u, v, nd, scale)
+    return messages
+
+
+def reference_max_sum_map(fg, root):
+    order = [pair for component in _forest(fg, root) for pair in component]
+    semiring = ReferenceMaxSum()
+    messages = reference_pass(fg, _inward(order), semiring)
+    assignment, log_score = {}, 0.0
+    for node, parent in order:
+        if parent is None:
+            belief, _ = reference_combined(fg, node, None, messages, semiring)
+            if not np.any(np.isfinite(belief)):
+                raise NumericError("all configurations have zero probability")
+            best = int(np.argmax(belief))
+            log_score += float(belief.flat[best])
+            assignment[node] = best
+        elif node in fg.factors:
+            others = [w for w in fg.factors[node].var_names if w != parent]
+            flat = semiring.argmax[(node, parent)][assignment[parent]]
+            states = np.unravel_index(flat, [fg.card(w) for w in others])
+            assignment.update((w, int(s)) for w, s in zip(others, states))
+    return {v: assignment[v] for v in fg.var_names}, log_score
+
+
+def assert_same_messages(result, expected):
+    if isinstance(expected, tuple):  # the same first zero message
+        assert result == expected
+        return
+    assert list(result) == list(expected)
+    for edge, msg in expected.items():
+        assert np.array_equal(result[edge].payload, msg.payload)
+        assert result[edge].log_scale == msg.log_scale
+        assert result[edge].domain == msg.domain
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests(zeros=True, cards=(1, 4)))
+def test_every_message_matches_the_reference_engine(fg):
+    edges = _all_edges(fg, _forest(fg))
+    expected = outcome(lambda: reference_pass(fg, edges, ReferenceSumProduct))
+    result = outcome(lambda: _pass(fg, edges, _SumProduct))
+    assert_same_messages(result, expected)
+    if not isinstance(expected, tuple):
+        for var in fg.var_names:
+            nd, scale = _combined(fg, var, None, result)
+            want, want_scale = reference_combined(fg, var, None, expected, ReferenceSumProduct)
+            assert np.array_equal(nd, want) and scale == want_scale
+    reference, semiring = ReferenceMaxSum(), _MaxSum()
+    expected = reference_pass(fg, edges, reference)
+    with np.errstate(divide="ignore"):
+        result = _pass(fg, edges, semiring)
+    assert_same_messages(result, expected)
+    assert list(semiring.argmax) == list(reference.argmax)
+    for edge, best in reference.argmax.items():
+        assert semiring.argmax[edge].dtype == best.dtype
+        assert np.array_equal(semiring.argmax[edge], best)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests(zeros=True, cards=(1, 4)), st.data())
+def test_map_matches_the_reference_backtrack(fg, data):
+    root = data.draw(st.sampled_from(fg.var_names))
+    expected = outcome(lambda: reference_max_sum_map(fg, root))
+    result = outcome(lambda: max_sum_map(fg, root))
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert result == expected
+    else:
+        assert (result.assignment, result.log_score) == expected
+
+
+# -- a component with no mass -------------------------------------------------
+
+ZERO_MASS = {"variables": [{"name": "a", "card": 2}, {"name": "b", "card": 2}, {"name": "c", "card": 2}],
+             "factors": [{"name": "fab", "scope": ["a", "b"], "values": [1, 2, 3, 4]},
+                         {"name": "fbc", "scope": ["b", "c"], "values": [0, 1, 0, 1]}]}
+
+
+def test_marginal_refuses_evidence_of_zero_mass_in_another_component():
+    fg = parse_model_dict(ZERO_MASS).factor_graph()
+    reduced, _ = condition_factor_graph(fg, {"b": 0})  # fbc(b=0, c) is all zeros
+    assert len(_forest(reduced)) == 2
+    with pytest.raises(NumericError):
+        conditioned_sum_product(fg, {"b": 0})
+    with pytest.raises(NumericError, match="identically zero"):
+        marginal(reduced, "a")
+    with pytest.raises(NumericError):
+        marginal(reduced, "c")
+
+
+def test_marginal_refuses_a_separate_component_of_zero_mass():
+    for zero in (DiscreteFactor([("c", 2)], [0, 0]), DiscreteFactor([], [0])):
+        factors = {"fab": DiscreteFactor([("a", 2), ("b", 2)], [1, 2, 3, 4]), "z": zero}
+        fg = FactorGraph([("a", 2), ("b", 2), ("c", 2)], factors)
+        with pytest.raises(NumericError):
+            marginal(fg, "a")
+        with pytest.raises(NumericError):
+            conditioned_sum_product(fg, {})

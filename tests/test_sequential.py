@@ -489,3 +489,100 @@ class TestKalman:
             kalman_filter(self._model(), [1.0])
         with pytest.raises(ValidationError):
             Gaussian1(0.0, 0.0)
+
+
+# -- the recursions against their per-step forms ---------------------------------
+# The step loops as they were before the logs were taken once per matrix and the
+# smoothing product became one array operation; the recursions must match them bit
+# for bit.
+
+def reference_viterbi(hmm, obs):
+    with np.errstate(divide="ignore"):
+        scores = np.log(hmm.prior) + np.log(hmm.emissions[0][:, obs[0]])
+        back = []
+        for t in range(1, len(obs)):
+            cand = scores[:, None] + np.log(hmm.transitions[t - 1])
+            back.append(cand.argmax(axis=0))
+            scores = cand.max(axis=0) + np.log(hmm.emissions[t][:, obs[t]])
+    if not np.any(np.isfinite(scores)):
+        raise ImpossibleEvidenceError("evidence has probability zero")
+    path = [int(scores.argmax())]
+    for t in range(len(obs) - 2, -1, -1):
+        path.append(int(back[t][path[-1]]))
+    return path[::-1], float(scores.max())
+
+
+def reference_smooth(hmm, obs):
+    filtered, _ = alpha_filter(hmm, obs)
+    betas = [np.ones(hmm.n_states)]
+    for t in range(len(obs) - 1, 0, -1):
+        beta = hmm.transitions[t - 1] @ (hmm.emissions[t][:, obs[t]] * betas[-1])
+        peak = beta.max()
+        if peak <= 0.0:
+            raise ImpossibleEvidenceError("evidence has probability zero")
+        betas.append(beta / peak)
+    out = []
+    for alpha, beta in zip(filtered, betas[::-1]):
+        joint = alpha * beta
+        total = joint.sum()
+        if total <= 0.0:
+            raise ImpossibleEvidenceError("evidence has probability zero")
+        out.append(joint / total)
+    return out
+
+
+@st.composite
+def sparse_hmms(draw):
+    """Up to 40 states and 12 steps, per-step (or shared) matrices with zero entries."""
+    k, m, n = draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.7]))
+
+    def stochastic(rows, cols):
+        w = rng.uniform(0.05, 1.0, (rows, cols)) * (rng.uniform(size=(rows, cols)) >= zeros)
+        w[np.arange(rows), rng.integers(0, cols, rows)] += 0.01  # no empty row
+        return w / w.sum(axis=1, keepdims=True)
+
+    prior = stochastic(1, k)[0]
+    if draw(st.booleans()):
+        hmm = DiscreteHmm.homogeneous(prior, stochastic(k, k), stochastic(k, m), n)
+    else:
+        hmm = DiscreteHmm(prior, [stochastic(k, k) for _ in range(n - 1)], [stochastic(k, m) for _ in range(n)])
+    return hmm, [int(v) for v in rng.integers(0, m, n)]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ImpossibleEvidenceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_hmms())
+def test_viterbi_and_smooth_match_the_step_loops(case):
+    hmm, obs = case
+    assert _outcome(lambda: viterbi(hmm, obs)) == _outcome(lambda: reference_viterbi(hmm, obs))
+    result, expected = _outcome(lambda: smooth(hmm, obs)), _outcome(lambda: reference_smooth(hmm, obs))
+    if isinstance(expected, str):
+        assert result == expected
+    else:
+        assert len(result) == len(expected)
+        for row, want in zip(result, expected):
+            assert row.shape == want.shape and np.array_equal(row, want)
+
+
+def test_observations_are_checked_once(monkeypatch):
+    import pgmlab.sequential as sequential
+
+    hmm = random_hmm(np.random.default_rng(4), 3, 4)
+    calls = []
+    check = sequential._check_observations
+    monkeypatch.setattr(sequential, "_check_observations", lambda *a: calls.append(1) or check(*a))
+    for run in (lambda: alpha_filter(hmm, [0, 1, 1, 0]), lambda: smooth(hmm, [0, 1, 1, 0]),
+                lambda: smooth_pairwise(hmm, [0, 1, 1, 0], 2), lambda: hidden_prediction(hmm, [0, 1], 3),
+                lambda: ffbs_backward_kernel(hmm, [0, 1, 1, 0], 3),
+                lambda: ffbs_paths(hmm, [0, 1, 1, 0], SeededRng(1), 2)):
+        calls.clear()
+        run()
+        assert calls == [1]
