@@ -56,9 +56,10 @@ def _float_text(x: float) -> str:
 def _encode(value, indent: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2)`` with 12-digit floats.
 
-    NumPy is never imported here: ``np.float64`` is a ``float``, and every
-    other NumPy array or scalar is written through its ``tolist()``.  A list
-    of plain floats or of plain ints is written in one ``join``.
+    NumPy is never imported here: ``np.float64`` is a ``float``, a non-empty
+    int or float array is written by :func:`_array_text`, and every other
+    NumPy array or scalar through its ``tolist()``.  A list of plain floats or
+    of plain ints is written in one ``join``.
     """
     if isinstance(value, float):
         return _float_text(value)
@@ -76,7 +77,30 @@ def _encode(value, indent: str = "\n") -> str:
             items = (_encode(v, inner) for v in value)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     tolist = getattr(value, "tolist", None)  # None, str, int and bool have none
-    return json.dumps(value) if tolist is None else _encode(tolist(), indent)
+    if tolist is None:
+        return json.dumps(value)
+    return _array_text(value, indent) or _encode(tolist(), indent)
+
+
+def _array_text(array, indent: str) -> str | None:
+    """:func:`_encode` of a non-empty int or float ``array``, laid out by one
+    ``%`` template of its shape, or None for any other value or for a float
+    cell that :func:`_float_text` would not write as ``.12g`` with a point
+    (``inf``, ``nan`` and whole numbers other than zero have none)."""
+    dtype = getattr(array, "dtype", None)
+    if dtype is None or dtype.kind not in "fiu" or not array.ndim or not array.size:
+        return None
+    template = "%.12g" if dtype.kind == "f" else "%d"
+    for depth, side in reversed(list(enumerate(array.shape))):
+        outer = indent + "  " * depth
+        template = "[" + outer + "  " + ("," + outer + "  ").join([template] * side) + outer + "]"
+    text = template % tuple(array.ravel().tolist())
+    if dtype.kind == "f":
+        for zero in (" 0,", " 0\n", " -0,", " -0\n"):
+            text = text.replace(zero, zero[:-1] + ".0" + zero[-1])
+        if "e+1" in text or "e-3" in text or text.count(".") < array.size:
+            return None
+    return text
 
 
 def _parse_names(text: str) -> list[str]:

@@ -101,33 +101,34 @@ def _check_observations(hmm: DiscreteHmm, observations: Sequence[int]) -> list[i
     return obs
 
 
-def alpha_filter(hmm: DiscreteHmm, observations: Sequence[int]) -> tuple[list[np.ndarray], float]:
-    """Filtered marginals p(h_s | v_{1:s}) for each observed step, plus the
-    data log-likelihood log p(v_{1:t}).
+def alpha_filter(hmm: DiscreteHmm, observations: Sequence[int]) -> tuple[np.ndarray, float]:
+    """Filtered marginals p(h_s | v_{1:s}) as an (n, K) array whose row t is
+    step t + 1, plus the data log-likelihood log p(v_{1:n}).
 
     Each step extends the previous filtered distribution through the
     transition, multiplies in the evidence, and renormalises; the product of
     the per-step normalisers is the likelihood.
     """
-    return _filter(hmm, _check_observations(hmm, observations))
+    filtered, _, log_lik = _filter(hmm, _check_observations(hmm, observations))
+    return filtered, log_lik
 
 
-def _filter(hmm: DiscreteHmm, obs: list[int]) -> tuple[list[np.ndarray], float]:
-    """:func:`alpha_filter` of observations that :func:`_check_observations` passed."""
-    filtered: list[np.ndarray] = []
+def _filter(hmm: DiscreteHmm, obs: list[int]) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`alpha_filter` of checked observations, with the unnormalised rows: row t
+    is step t + 1's evidence times the previous filtered row carried one step on."""
+    filtered, weighted = np.empty((2, len(obs), hmm.n_states))
     log_lik = 0.0
     current = hmm.prior
-    for t, v in enumerate(obs):
+    for t, (v, row, filtered_row) in enumerate(zip(obs, weighted, filtered)):
         if t > 0:
             current = hmm.transitions[t - 1].T @ current
-        weighted = hmm.emissions[t][:, v] * current
-        norm = float(np.add.reduce(weighted))
+        np.multiply(hmm.emissions[t][:, v], current, out=row)
+        norm = float(np.add.reduce(row))
         if norm <= 0.0:
             raise ImpossibleEvidenceError(f"evidence up to step {t + 1} has probability zero")
-        current = weighted / norm
-        filtered.append(current)
+        current = np.divide(row, norm, out=filtered_row)
         log_lik += math.log(norm)
-    return filtered, log_lik
+    return filtered, weighted, log_lik
 
 
 def hidden_prediction(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> tuple[np.ndarray, float]:
@@ -141,7 +142,7 @@ def hidden_prediction(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> 
     u = len(obs)
     if not u <= count(t, "prediction step t", least=0) <= hmm.n_steps:
         raise ValidationError(f"prediction step t={t} must lie in [{u}, {hmm.n_steps}]")
-    filtered, log_lik = _filter(hmm, obs)
+    filtered, _, log_lik = _filter(hmm, obs)
     current = filtered[-1]
     for s in range(u + 1, t + 1):
         current = hmm.transitions[s - 2].T @ current
@@ -173,18 +174,18 @@ def _backward(hmm: DiscreteHmm, obs: list[int]) -> list[np.ndarray]:
     return betas[::-1]
 
 
-def smooth(hmm: DiscreteHmm, observations: Sequence[int]) -> list[np.ndarray]:
-    """Smoothed marginals p(h_t | v_{1:n}) for the full sequence via the
-    forward-backward product; the backward pass starts from all ones."""
+def smooth(hmm: DiscreteHmm, observations: Sequence[int]) -> np.ndarray:
+    """Smoothed marginals p(h_t | v_{1:n}) as an (n, K) array whose row t is step
+    t + 1, by the forward-backward product; the backward pass starts from all ones."""
     obs = _check_observations(hmm, observations)
     if len(obs) != hmm.n_steps:
         raise ValidationError("smoothing needs the full observation sequence")
-    filtered, _ = _filter(hmm, obs)
-    joint = np.array(filtered) * np.array(_backward(hmm, obs))  # row t: step t + 1
+    filtered, _, _ = _filter(hmm, obs)
+    joint = filtered * np.array(_backward(hmm, obs))
     totals = np.add.reduce(joint, 1)
     if np.any(totals <= 0.0):
         raise ImpossibleEvidenceError("evidence has probability zero")
-    return list(joint / totals[:, None])
+    return joint / totals[:, None]
 
 
 def smooth_pairwise(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np.ndarray:
@@ -199,7 +200,7 @@ def smooth_pairwise(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np
         raise ValidationError("pairwise smoothing needs the full observation sequence")
     if not 2 <= count(t, "pair step t", least=0) <= n:
         raise ValidationError(f"pair step t={t} must lie in [2, {n}]")
-    filtered, _ = _filter(hmm, obs)
+    filtered, _, _ = _filter(hmm, obs)
     beta = _backward(hmm, obs)[t - 1]
     joint = (
         filtered[t - 2][:, None]
@@ -249,20 +250,19 @@ def ffbs_backward_kernel(hmm: DiscreteHmm, observations: Sequence[int], t: int) 
     obs = _check_observations(hmm, observations)
     if not 2 <= count(t, "kernel step t", least=0) <= len(obs):
         raise ValidationError(f"kernel step t={t} must lie in [2, {len(obs)}]")
-    filtered, _ = _filter(hmm, obs)
-    return _backward_kernel(hmm, obs, filtered, t)
+    return _backward_kernels(hmm, obs, *_filter(hmm, obs)[:2])[t - 2]
 
 
-def _backward_kernel(hmm: DiscreteHmm, obs: list[int], filtered: list[np.ndarray],
-                     t: int) -> np.ndarray:
-    """The kernel of :func:`ffbs_backward_kernel` from an existing forward pass."""
-    prev = filtered[t - 2]
-    emis = hmm.emissions[t - 1][:, obs[t - 1]]
-    # Unnormalised filtered vector at t, with the same scaling as prev.
-    forward_t = emis * (hmm.transitions[t - 2].T @ prev)
-    # Row h: prev * transitions[:, h] * emis[h] / forward_t[h]; zeros where forward_t[h] = 0.
-    return np.divide(prev * hmm.transitions[t - 2].T * emis[:, None], forward_t[:, None],
-                     out=np.zeros((hmm.n_states, hmm.n_states)), where=forward_t[:, None] > 0.0)
+def _backward_kernels(hmm: DiscreteHmm, obs: list[int], filtered: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """The :func:`ffbs_backward_kernel` of each step t > 1 as slice t - 2 of an (n - 1, K, K)
+    array, empty if n = 1.  Entry [h, j] of a slice is prev[j] * transitions[j, h] * emis[h]
+    / weighted[h], with prev the filtered row before step t; it is 0 where weighted[h] is 0."""
+    n, k = filtered.shape
+    kernels = np.array([m.T for m in hmm.transitions[:n - 1]]).reshape(n - 1, k, k)
+    kernels *= filtered[:-1, None, :]
+    kernels *= np.array([hmm.emissions[s][:, obs[s]] for s in range(1, n)]).reshape(n - 1, k, 1)
+    kernels /= np.where(weighted[1:] > 0.0, weighted[1:], np.inf)[:, :, None]
+    return kernels
 
 
 def ffbs(hmm: DiscreteHmm, observations: Sequence[int], rng) -> list[int]:
@@ -280,21 +280,22 @@ def ffbs_paths(hmm: DiscreteHmm, observations: Sequence[int], rng, n_paths: int)
     n = len(obs)
     if n != hmm.n_steps:
         raise ValidationError("sampling needs the full observation sequence")
-    filtered, _ = _filter(hmm, obs)
-    kernels = [_backward_kernel(hmm, obs, filtered, t) for t in range(2, n + 1)]
+    filtered, weighted, _ = _filter(hmm, obs)
+    kernels = _backward_kernels(hmm, obs, filtered, weighted)
+    cdfs = np.cumsum(kernels, axis=2, out=kernels)
+    # Row i of the block is the draw for step n - i, in the order of one call per step.
+    uniforms = rng.uniform(size=(n, n_paths))
     paths = np.empty((n_paths, n), dtype=int)
-    paths[:, n - 1] = _draw(rng, np.broadcast_to(np.cumsum(filtered[-1]), (n_paths, hmm.n_states)))
+    paths[:, n - 1] = _draw(uniforms[0], np.cumsum(filtered[-1])[None, :])
     for t in range(n - 1, 0, -1):
-        paths[:, t - 1] = _draw(rng, kernels[t - 1].cumsum(axis=1)[paths[:, t]])
+        paths[:, t - 1] = _draw(uniforms[n - t], cdfs[t - 1][paths[:, t]])
     return paths
 
 
-def _draw(rng, cdf_rows: np.ndarray) -> np.ndarray:
-    """One state per row by inverse transform: the count of cdf entries
-    below one uniform, capped at the last state against rounding."""
-    u = rng.uniform(size=cdf_rows.shape[0])
-    drawn = (u[:, None] > cdf_rows).sum(axis=1)
-    return np.minimum(drawn, cdf_rows.shape[1] - 1)
+def _draw(u: np.ndarray, cdf_rows: np.ndarray) -> np.ndarray:
+    """One state per uniform by inverse transform: the count of cdf entries
+    below it, capped at the last state against rounding."""
+    return np.minimum((u[:, None] > cdf_rows).sum(axis=1), cdf_rows.shape[1] - 1)
 
 
 # -- scalar Gaussian algebra and the Kalman filter ---------------------------
@@ -394,22 +395,21 @@ def kalman_filter(model: KalmanModel, observations: Sequence[float]) -> list[Kal
     K = P*C / (C^2 P + D^2):  mu' = A*mu + K (v - C*A*mu) and
     sigma'^2 = (1 - K*C) P.  The variance is evaluated through the
     equivalent ratio P*D^2 / (C^2 P + D^2), which stays positive when
-    K*C rounds to one in the near-noiseless-observation limit.
+    K*C rounds to one in the near-noiseless-observation limit.  A state that
+    overflows or has no variance (say A = B = 0) is a :class:`NumericError`.
     """
     obs = finite_array(observations, "observations").tolist()
     if len(obs) != model.n_steps:
         raise ValidationError(f"expected {model.n_steps} observations, got {len(obs)}")
-    state = model.prior
+    mean, var = model.prior.mean, model.prior.var
     steps: list[KalmanStep] = []
-    for s, v in enumerate(obs):
-        a, b, c, d = model.A[s], model.B[s], model.C[s], model.D[s]
-        pred = gaussian_linear_marginal(state, a, b)
-        p = pred.var
+    for s, (v, a, b, c, d) in enumerate(zip(obs, model.A, model.B, model.C, model.D), start=1):
+        pred = a * mean
+        p = a * a * var + b * b
         gain = p * c / (c * c * p + d * d)
-        mean = pred.mean + gain * (v - c * pred.mean)
+        mean = pred + gain * (v - c * pred)
         var = p * d * d / (c * c * p + d * d)
-        if var <= 0.0 or not math.isfinite(var):
-            raise NumericError(f"non-positive filtered variance at step {s + 1}")
-        state = Gaussian1(mean, var)
+        if not (math.isfinite(mean) and 0.0 < var < math.inf):
+            raise NumericError(f"filtered state at step {s} has mean {mean} and variance {var}")
         steps.append(KalmanStep(mean, var, gain))
     return steps

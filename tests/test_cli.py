@@ -940,6 +940,17 @@ def test_71_variable_model_exits_0_or_2(write_model, capsys, argv, one_factor_co
         assert err == "validation error: a factor over 71 variables has no array view (at most 32 axes)\n"
 
 
+@pytest.mark.parametrize("changes, step", [
+    ({"A": [1e200, 1e200], "prior": {"mean": 1e200, "var": 1.0}}, 1),  # the predicted mean overflows
+    ({"A": [1.0, 0.0], "B": [0.0, 0.0]}, 2),  # A = B = 0 leaves no variance
+])
+def test_kalman_state_faults_are_numeric_errors(write_model, capsys, changes, step):
+    path = write_model("k.model", {"kalman": {**KALMAN_MODEL["kalman"], **changes}})
+    assert cli.main(["kalman", "filter", "--model", path, "--obs=1,2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: filtered state at step {step} ") and "Traceback" not in err
+
+
 def test_overflowing_elimination_is_a_numeric_error(write_model, capsys):
     doc = {"variables": [{"name": "a", "card": 2}, {"name": "b", "card": 2}],
            "factors": [{"name": "f", "scope": ["a"], "values": [1e300, 1e300]},

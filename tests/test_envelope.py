@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pgmlab import cli
 
@@ -109,6 +110,7 @@ _TREES = [
     {"command": "hmm smooth", "inputs": {"obs": [0, 1, 1]},
      "outputs": {"smoothed": [np.array([0.25, 0.75]), np.array([1 / 3, 2 / 3])]},
      "seed": None, "elapsed_seconds": 0.001234567890123456},
+    {"zeros": np.array([[0.0, 1.0, -0.0], [0.5, 0.0, 0.25]]), "whole": np.array([1.0, 0.0, 2.0])},
 ]
 
 
@@ -132,3 +134,27 @@ _trees = st.recursive(
 @given(_trees)
 def test_encode_matches_the_two_pass_text_on_any_tree(tree):
     assert cli._encode(tree) == json.dumps(_reference(tree), indent=2)
+
+
+# Cells the array writer must write as _float_text does: zeros of both signs, whole
+# numbers, the positional range of repr (1e12 to 1e16), subnormals, infinities and NaN.
+_cells = (st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e12, 123456789012345.6, 1e16, 5e-324, 1e-310,
+                           math.inf, -math.inf, math.nan, 1e-5, 1.5e-7, 0.1])
+          | st.integers(-10 ** 6, 10 ** 6).map(float) | st.floats(1e12, 1e16) | st.floats(allow_subnormal=True))
+_arrays = (hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4), elements=_cells)
+           | hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4))
+           | hnp.arrays(np.uint8, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)))
+_array_trees = st.recursive(_arrays, lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_array_trees)
+def test_encode_writes_arrays_as_the_two_pass_text(tree):
+    assert cli._encode(tree) == json.dumps(_reference(tree), indent=2)
+
+
+def test_zeros_keep_an_array_on_the_one_template_path():
+    # HMM outputs hold structural zeros; they must not send the array cell by cell.
+    array = np.array([[0.0, 0.5, -0.0], [-0.0, 0.25, 0.0]])
+    assert cli._array_text(array, "\n") == json.dumps(_reference(array), indent=2)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pgmlab.errors import ImpossibleEvidenceError, ValidationError
+from pgmlab.errors import ImpossibleEvidenceError, NumericError, ValidationError
 from pgmlab.factors import DiscreteFactor
 from pgmlab.graphs import Dag
 from pgmlab.messages import condition_factor_graph, dag_to_factor_graph, max_sum_map, sum_product
@@ -482,6 +482,17 @@ class TestKalman:
         assert all(x.var == y.var for x, y in zip(a, b))
         assert all(x.gain == y.gain for x, y in zip(a, b))
 
+    def test_overflowing_state_is_a_numeric_error(self):
+        model = KalmanModel([1e200, 1e200], [0.5, 0.5], [1.0, 1.0], [1.0, 1.0], Gaussian1(1e200, 1.0))
+        with pytest.raises(NumericError, match="at step 1 "):
+            kalman_filter(model, [0.0, 0.0])
+
+    def test_a_step_without_variance_is_a_numeric_error(self):
+        # A = B = 0 at step 2 leaves a predicted variance of 0 and so a filtered one of 0.
+        model = KalmanModel([1.0, 0.0], [0.5, 0.0], [1.0, 1.0], [1.0, 1.0], Gaussian1(0.0, 1.0))
+        with pytest.raises(NumericError, match="at step 2 "):
+            kalman_filter(model, [0.3, 0.2])
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             KalmanModel([1.0], [0.1], [0.0], [0.0], Gaussian1(0, 1))
@@ -570,6 +581,49 @@ def test_viterbi_and_smooth_match_the_step_loops(case):
         assert len(result) == len(expected)
         for row, want in zip(result, expected):
             assert row.shape == want.shape and np.array_equal(row, want)
+
+
+# FFBS as it was before the kernels became one array: one kernel per step, from its
+# own matrix-vector product, and one call for uniforms per step.
+
+def reference_backward_kernel(hmm, obs, filtered, t):
+    prev = filtered[t - 2]
+    emis = hmm.emissions[t - 1][:, obs[t - 1]]
+    forward_t = emis * (hmm.transitions[t - 2].T @ prev)
+    return np.divide(prev * hmm.transitions[t - 2].T * emis[:, None], forward_t[:, None],
+                     out=np.zeros((hmm.n_states, hmm.n_states)), where=forward_t[:, None] > 0.0)
+
+
+def reference_draw(rng, cdf_rows):
+    u = rng.uniform(size=cdf_rows.shape[0])
+    return np.minimum((u[:, None] > cdf_rows).sum(axis=1), cdf_rows.shape[1] - 1)
+
+
+def reference_ffbs_paths(hmm, obs, rng, n_paths):
+    filtered, _ = alpha_filter(hmm, obs)
+    n = len(obs)
+    kernels = [reference_backward_kernel(hmm, obs, filtered, t) for t in range(2, n + 1)]
+    paths = np.empty((n_paths, n), dtype=int)
+    paths[:, n - 1] = reference_draw(rng, np.broadcast_to(np.cumsum(filtered[-1]), (n_paths, hmm.n_states)))
+    for t in range(n - 1, 0, -1):
+        paths[:, t - 1] = reference_draw(rng, kernels[t - 1].cumsum(axis=1)[paths[:, t]])
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_hmms(), st.integers(1, 8))
+def test_ffbs_matches_the_kernel_per_step_loop(case, n_paths):
+    hmm, obs = case
+    result = _outcome(lambda: ffbs_paths(hmm, obs, SeededRng(11), n_paths))
+    expected = _outcome(lambda: reference_ffbs_paths(hmm, obs, SeededRng(11), n_paths))
+    if isinstance(expected, str):
+        assert result == expected
+        return
+    assert result.dtype == expected.dtype and np.array_equal(result, expected)
+    filtered, _ = alpha_filter(hmm, obs)
+    for t in range(2, len(obs) + 1):
+        kernel, want = ffbs_backward_kernel(hmm, obs, t), reference_backward_kernel(hmm, obs, filtered, t)
+        assert kernel.shape == want.shape and kernel.tobytes() == want.tobytes()
 
 
 def test_observations_are_checked_once(monkeypatch):
