@@ -38,6 +38,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _long_way(text: str) -> bool:
+    """Whether ``.12g`` text holds a float that :func:`_float_text` writes the long way."""
+    return "e+1" in text or "e-3" in text or "n" in text
+
+
 def _float_text(x: float) -> str:
     """``x`` rounded to 12 significant digits, as ``json.dumps`` writes it.
 
@@ -46,9 +51,10 @@ def _float_text(x: float) -> str:
     ``.0`` of a whole number.  Three cases take the long way: ``repr``
     writes exponents 12 to 15 positionally, subnormals have too few digits
     for the rule to hold, and JSON spells ``inf`` and ``nan`` its own way.
+    :func:`_long_way` finds all three; :func:`_array_text` relies on it too.
     """
     text = f"{x:.12g}"
-    if "e+1" in text or "e-3" in text or "n" in text:
+    if _long_way(text):
         return json.dumps(float(text))
     return text if "." in text or "e" in text else text + ".0"
 
@@ -98,7 +104,7 @@ def _array_text(array, indent: str) -> str | None:
     if dtype.kind == "f":
         for zero in (" 0,", " 0\n", " -0,", " -0\n"):
             text = text.replace(zero, zero[:-1] + ".0" + zero[-1])
-        if "e+1" in text or "e-3" in text or text.count(".") < array.size:
+        if _long_way(text) or text.count(".") < array.size:
             return None
     return text
 

@@ -116,7 +116,8 @@ def alpha_filter(hmm: DiscreteHmm, observations: Sequence[int]) -> tuple[np.ndar
 def _filter(hmm: DiscreteHmm, obs: list[int]) -> tuple[np.ndarray, np.ndarray, float]:
     """:func:`alpha_filter` of checked observations, with the unnormalised rows: row t
     is step t + 1's evidence times the previous filtered row carried one step on."""
-    filtered, weighted = np.empty((2, len(obs), hmm.n_states))
+    filtered = np.empty((len(obs), hmm.n_states))
+    weighted = np.empty_like(filtered)
     log_lik = 0.0
     current = hmm.prior
     for t, (v, row, filtered_row) in enumerate(zip(obs, weighted, filtered)):
@@ -143,7 +144,7 @@ def hidden_prediction(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> 
     if not u <= count(t, "prediction step t", least=0) <= hmm.n_steps:
         raise ValidationError(f"prediction step t={t} must lie in [{u}, {hmm.n_steps}]")
     filtered, _, log_lik = _filter(hmm, obs)
-    current = filtered[-1]
+    current = filtered[-1].copy()  # not a view that keeps every row alive
     for s in range(u + 1, t + 1):
         current = hmm.transitions[s - 2].T @ current
     return current, log_lik
@@ -250,18 +251,19 @@ def ffbs_backward_kernel(hmm: DiscreteHmm, observations: Sequence[int], t: int) 
     obs = _check_observations(hmm, observations)
     if not 2 <= count(t, "kernel step t", least=0) <= len(obs):
         raise ValidationError(f"kernel step t={t} must lie in [2, {len(obs)}]")
-    return _backward_kernels(hmm, obs, *_filter(hmm, obs)[:2])[t - 2]
+    filtered, weighted, _ = _filter(hmm, obs)
+    return _backward_kernels(hmm, obs, filtered[:t], weighted[:t], first=t)[0]
 
 
-def _backward_kernels(hmm: DiscreteHmm, obs: list[int], filtered: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    """The :func:`ffbs_backward_kernel` of each step t > 1 as slice t - 2 of an (n - 1, K, K)
-    array, empty if n = 1.  Entry [h, j] of a slice is prev[j] * transitions[j, h] * emis[h]
+def _backward_kernels(hmm: DiscreteHmm, obs: list[int], filtered, weighted, first: int = 2) -> np.ndarray:
+    """The :func:`ffbs_backward_kernel` of each step t from ``first`` to n = len(filtered) as
+    slice t - first of one array.  Entry [h, j] of a slice is prev[j] * transitions[j, h] * emis[h]
     / weighted[h], with prev the filtered row before step t; it is 0 where weighted[h] is 0."""
     n, k = filtered.shape
-    kernels = np.array([m.T for m in hmm.transitions[:n - 1]]).reshape(n - 1, k, k)
-    kernels *= filtered[:-1, None, :]
-    kernels *= np.array([hmm.emissions[s][:, obs[s]] for s in range(1, n)]).reshape(n - 1, k, 1)
-    kernels /= np.where(weighted[1:] > 0.0, weighted[1:], np.inf)[:, :, None]
+    kernels = np.array([m.T for m in hmm.transitions[first - 2:n - 1]]).reshape(-1, k, k)
+    kernels *= filtered[first - 2:-1, None, :]
+    kernels *= np.array([hmm.emissions[s][:, obs[s]] for s in range(first - 1, n)]).reshape(-1, k, 1)
+    kernels /= np.where(weighted[first - 1:] > 0.0, weighted[first - 1:], np.inf)[:, :, None]
     return kernels
 
 
@@ -396,7 +398,7 @@ def kalman_filter(model: KalmanModel, observations: Sequence[float]) -> list[Kal
     sigma'^2 = (1 - K*C) P.  The variance is evaluated through the
     equivalent ratio P*D^2 / (C^2 P + D^2), which stays positive when
     K*C rounds to one in the near-noiseless-observation limit.  A state that
-    overflows or has no variance (say A = B = 0) is a :class:`NumericError`.
+    overflows or has no variance (say A = B = 0) is a :class:`NumericError`, not a 0/0.
     """
     obs = finite_array(observations, "observations").tolist()
     if len(obs) != model.n_steps:
@@ -404,11 +406,12 @@ def kalman_filter(model: KalmanModel, observations: Sequence[float]) -> list[Kal
     mean, var = model.prior.mean, model.prior.var
     steps: list[KalmanStep] = []
     for s, (v, a, b, c, d) in enumerate(zip(obs, model.A, model.B, model.C, model.D), start=1):
-        pred = a * mean
-        p = a * a * var + b * b
-        gain = p * c / (c * c * p + d * d)
-        mean = pred + gain * (v - c * pred)
-        var = p * d * d / (c * c * p + d * d)
+        pred, p = a * mean, a * a * var + b * b
+        total = c * c * p + d * d
+        if not (math.isfinite(pred) and 0.0 < p < math.inf and 0.0 < total < math.inf):
+            raise NumericError(f"filtered state at step {s} has predicted mean {pred} and variance {p}")
+        gain = p * c / total
+        mean, var = pred + gain * (v - c * pred), p * d * d / total
         if not (math.isfinite(mean) and 0.0 < var < math.inf):
             raise NumericError(f"filtered state at step {s} has mean {mean} and variance {var}")
         steps.append(KalmanStep(mean, var, gain))

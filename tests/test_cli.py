@@ -943,6 +943,7 @@ def test_71_variable_model_exits_0_or_2(write_model, capsys, argv, one_factor_co
 @pytest.mark.parametrize("changes, step", [
     ({"A": [1e200, 1e200], "prior": {"mean": 1e200, "var": 1.0}}, 1),  # the predicted mean overflows
     ({"A": [1.0, 0.0], "B": [0.0, 0.0]}, 2),  # A = B = 0 leaves no variance
+    ({"A": [1.0, 0.0], "B": [0.0, 0.0], "D": [0.5, 0.0]}, 2),  # ... and with D = 0 the gain is 0/0
 ])
 def test_kalman_state_faults_are_numeric_errors(write_model, capsys, changes, step):
     path = write_model("k.model", {"kalman": {**KALMAN_MODEL["kalman"], **changes}})

@@ -493,6 +493,12 @@ class TestKalman:
         with pytest.raises(NumericError, match="at step 2 "):
             kalman_filter(model, [0.3, 0.2])
 
+    def test_a_step_without_any_variance_is_a_numeric_error(self):
+        # With D = 0 as well, the gain's denominator C^2 P + D^2 is 0.
+        model = KalmanModel([1.0, 0.0], [0.5, 0.0], [1.0, 1.0], [1.0, 0.0], Gaussian1(0.0, 1.0))
+        with pytest.raises(NumericError, match="at step 2 "):
+            kalman_filter(model, [0.3, 0.2])
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             KalmanModel([1.0], [0.1], [0.0], [0.0], Gaussian1(0, 1))
@@ -624,6 +630,15 @@ def test_ffbs_matches_the_kernel_per_step_loop(case, n_paths):
     for t in range(2, len(obs) + 1):
         kernel, want = ffbs_backward_kernel(hmm, obs, t), reference_backward_kernel(hmm, obs, filtered, t)
         assert kernel.shape == want.shape and kernel.tobytes() == want.tobytes()
+
+
+def test_results_keep_no_larger_buffer_alive():
+    hmm = random_hmm(np.random.default_rng(5), 3, 6)
+    obs = [0, 1, 1, 0, 0, 1]
+    filtered, _ = alpha_filter(hmm, obs)
+    for result in (filtered, smooth(hmm, obs), hidden_prediction(hmm, obs, 6)[0],
+                   ffbs_backward_kernel(hmm, obs, 4)):
+        assert result.base is None or result.base.size == result.size
 
 
 def test_observations_are_checked_once(monkeypatch):
