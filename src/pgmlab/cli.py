@@ -63,8 +63,9 @@ def _encode(value, indent: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2)`` with 12-digit floats.
 
     NumPy is never imported here: ``np.float64`` is a ``float``, a non-empty
-    int or float array is written by :func:`_array_text`, and every other
-    NumPy array or scalar through its ``tolist()``.  A list of plain floats or
+    int or float array is written by :func:`_array_text`, a ``longdouble``
+    as the float64 it rounds to, and every other NumPy array or scalar
+    through its ``tolist()``.  A list of plain floats or
     of plain ints is written in one ``join``.
     """
     if isinstance(value, float):
@@ -85,7 +86,12 @@ def _encode(value, indent: str = "\n") -> str:
     tolist = getattr(value, "tolist", None)  # None, str, int and bool have none
     if tolist is None:
         return json.dumps(value)
-    return _array_text(value, indent) or _encode(tolist(), indent)
+    text = _array_text(value, indent)
+    if text is not None:
+        return text
+    if getattr(getattr(value, "dtype", None), "char", None) == "g":  # longdouble: tolist() gives longdoubles
+        return _encode(value.astype(float), indent)
+    return _encode(tolist(), indent)
 
 
 def _array_text(array, indent: str) -> str | None:
@@ -368,7 +374,11 @@ def _cmd_sample_mh(args, _):
     if args.target == "normal":
         # th.dot(th) calls the same BLAS dot as th @ th, at a third of the cost.
         log_p = lambda th: -0.5 * float(th.dot(th))
-        init = np.zeros(numerics.count(args.dim, "dim", least=0))
+        dim = numerics.count(args.dim, "dim", least=0)
+        # mh refuses the same chain, but only once init exists, which would not fit either.
+        numerics.within_limit((args.samples + args.warmup) * dim,
+                              f"the chain of (samples + warmup) x dim = {args.samples + args.warmup} x {dim}")
+        init = np.zeros(dim)
     else:  # poisson regression on (x, y) CSV columns
         if not args.data:
             raise ValidationError("--data is required for the poisson target")

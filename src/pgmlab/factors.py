@@ -19,13 +19,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .numerics import count, float_array
+from .numerics import MAX_TABLE_ENTRIES, count, float_array
 
 Scope = tuple[tuple[str, int], ...]
 
-# Largest table ``ones``, ``product`` and ``eliminate`` may build: 2**24
-# float64 entries, 128 MiB.  It is also the largest cardinality.
-MAX_TABLE_ENTRIES = 2**24
+# ``MAX_TABLE_ENTRIES`` is the largest table ``ones``, ``product`` and
+# ``eliminate`` may build, and so also the largest cardinality.
 
 # Most axes ``DiscreteFactor.ndarray`` gives: NumPy 1.x's limit (NumPy 2 allows 64).
 MAX_NDARRAY_AXES = 32

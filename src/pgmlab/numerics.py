@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, SingularMatrixError, ValidationError
 
+# Most entries one array may hold: 2**24 float64 entries, 128 MiB.  It bounds
+# every factor table (and so every cardinality) and every sampler's output.
+MAX_TABLE_ENTRIES = 2**24
+
 
 def float_array(x, what: str, copy: bool = False) -> np.ndarray:
     """``x`` as a float array, a fresh one if ``copy``; a non-numeric entry or
@@ -71,6 +75,12 @@ def count(n, what: str, least: int = 1) -> int:
     if value is None or value < least:
         raise ValidationError(f"{what} must be a {'positive' if least == 1 else 'non-negative'} integer, got {n!r}")
     return value
+
+
+def within_limit(entries: int, what: str) -> None:
+    """Raise unless ``what``, an array of ``entries`` entries, fits within ``MAX_TABLE_ENTRIES``."""
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValidationError(f"{what} would have {entries} entries, over the limit of {MAX_TABLE_ENTRIES}")
 
 
 def check_symmetric(a: np.ndarray, what: str) -> None:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .numerics import count, entries_in, finite_array, positive
+from .numerics import count, entries_in, finite_array, positive, within_limit
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -225,14 +225,17 @@ def importance_expectation(
     return total / n
 
 
+@np.errstate(over="ignore")  # far in the tail, x^2 overflows and the weight is 0, as it should be
 def gaussian_tail_weights(rng: SeededRng, n: int, threshold: float = 5.0) -> np.ndarray:
     """Weights for Pr(x > threshold) under a standard normal, using the
     exponential proposal shifted to the threshold.
 
     Evaluated in closed form, w(x) = exp(-x^2/2 + x - threshold) / sqrt(2 pi),
-    which avoids cancellation between the two log densities.
+    which avoids cancellation between the two log densities.  More than
+    ``MAX_TABLE_ENTRIES`` samples are refused before any is drawn.
     """
     n = count(n, "n")
+    within_limit(n, "the importance sample")
     finite_array(threshold, "threshold")
     x = threshold + sample_exponential(rng, 1.0, size=n)
     return np.exp(-0.5 * x * x + x - threshold) / math.sqrt(2.0 * math.pi)
@@ -257,6 +260,7 @@ def self_normalised_importance(
     z_hat = mean(w) estimates the normalising constant E_base[prod g_i].
     """
     n = count(n, "n")
+    within_limit(n, "the importance weights")
     weights = np.empty(n)
     values = np.empty(n)
     for k in range(n):
@@ -312,7 +316,8 @@ def mh(
     cancels, so a move is accepted with probability
     exp(log p*(proposal) - log p*(current)).  Rejected steps copy the
     current state into the trace.  The first ``warmup`` states are
-    discarded.
+    discarded.  A chain of more than ``MAX_TABLE_ENTRIES`` entries,
+    (num_samples + warmup) x dim, is refused before the first step.
     """
     num_samples = count(num_samples, "num_samples")
     positive(vari, "vari")
@@ -320,6 +325,8 @@ def mh(
     current = finite_array(init, "init").reshape(-1)
     if current.size == 0:
         raise ValidationError("init must not be empty")
+    within_limit((num_samples + warmup) * current.size,
+                 f"the chain of (num_samples + warmup) x dim = {num_samples + warmup} x {current.size}")
     current_log = float(log_p_star(current))
     if not math.isfinite(current_log):
         raise NumericError("log p* is not finite at the initial state")
@@ -431,9 +438,11 @@ def rbm_conditionals(model: RbmModel) -> tuple[Callable, Callable]:
     """The factorised conditionals: p(h_j=1 | v) = sigmoid(v W[:,j] + b_j)
     and p(v_i=1 | h) = sigmoid(W[i,:] h + a_i), each returned as a vector."""
 
+    @np.errstate(over="ignore")  # a saturated sigmoid is 0 or 1, as it should be
     def hidden_given_visible(v) -> np.ndarray:
         return _hidden_probs(model, _check_binary(v, model.n_visible, "v"))
 
+    @np.errstate(over="ignore")
     def visible_given_hidden(h) -> np.ndarray:
         return _visible_probs(model, _check_binary(h, model.n_hidden, "h"))
 
@@ -447,25 +456,42 @@ def _check_binary(x, size: int, name: str) -> np.ndarray:
     return x.astype(float)
 
 
+@np.errstate(over="ignore")  # a saturated sigmoid is 0 or 1, as it should be
 def gibbs_rbm(rng: SeededRng, model: RbmModel, sweeps: int, v0=None) -> np.ndarray:
     """Block Gibbs chain: each sweep resamples all hiddens given the
     visibles, then all visibles given the hiddens.
 
-    Returns the visible configuration after every sweep, shape
-    (sweeps, n_visible).  Each sweep consumes ``n_hidden`` then
+    Returns the visible configuration after every sweep, an int array of
+    shape (sweeps, n_visible); more than ``MAX_TABLE_ENTRIES`` entries are
+    refused before anything is drawn.  Each sweep consumes ``n_hidden`` then
     ``n_visible`` uniforms; they are drawn up to ``_GIBBS_BLOCK`` sweeps at
     a time, which PCG64 yields in the same order as one draw per half-sweep.
+    A state's conditional row, p(h | v) or p(v | h), is computed once per
+    visited state and kept for the first ``_GIBBS_BLOCK`` states of each
+    layer, so a small RBM mostly compares uniforms; the chain is
+    bit-identical to one that recomputes every row.
     """
     sweeps = count(sweeps, "sweeps")
-    v = _check_binary(np.zeros(model.n_visible) if v0 is None else v0, model.n_visible, "v0")
+    within_limit(sweeps * model.n_visible, f"the chain of sweeps x n_visible = {sweeps} x {model.n_visible}")
+    v = _check_binary(np.zeros(model.n_visible) if v0 is None else v0, model.n_visible, "v0") == 1
     n_hidden = model.n_hidden
     out = np.empty((sweeps, model.n_visible), dtype=int)
+    hidden_rows, visible_rows = {}, {}  # state bytes -> its conditional row
     for start in range(0, sweeps, _GIBBS_BLOCK):
         block = rng.uniform(size=(min(_GIBBS_BLOCK, sweeps - start), n_hidden + model.n_visible))
-        for k, u in enumerate(block, start):
-            h = (u[:n_hidden] < _hidden_probs(model, v)).astype(float)
-            v = (u[n_hidden:] < _visible_probs(model, h)).astype(float)
-            out[k] = v
+        for k, (u_hidden, u_visible) in enumerate(zip(block[:, :n_hidden], block[:, n_hidden:]), start):
+            p = hidden_rows.get(key := v.tobytes())
+            if p is None:
+                p = _hidden_probs(model, v.astype(float))
+                if len(hidden_rows) < _GIBBS_BLOCK:
+                    hidden_rows[key] = p
+            h = u_hidden < p
+            p = visible_rows.get(key := h.tobytes())
+            if p is None:
+                p = _visible_probs(model, h.astype(float))
+                if len(visible_rows) < _GIBBS_BLOCK:
+                    visible_rows[key] = p
+            out[k] = v = u_visible < p
     return out
 
 

@@ -347,6 +347,16 @@ class TestSampleAndViCommands:
         env = cli.run(["sample", "importance", "--samples", "20000", "--seed", "4"])
         assert 2.0e-7 < env["outputs"]["estimate"] < 4.0e-7
 
+    @pytest.mark.filterwarnings("error")
+    def test_saturation_prints_no_warning(self, write_model):
+        # exp overflows to inf in both; the sigmoid saturates and the weight
+        # vanishes, the intended results, so nothing may reach stderr.
+        saturated = {"rbm": {"W": [[1e308, -1e308]], "a": [0.0], "b": [-0.1, 0.2]}}
+        env = cli.run(["sample", "gibbs-rbm", "--model", write_model("s.model", saturated), "--seed", "1"])
+        assert sum(env["outputs"]["counts"].values()) == 1000
+        env = cli.run(["sample", "importance", "--threshold", "1e200", "--seed", "1"])
+        assert env["outputs"]["estimate"] == 0.0
+
     def test_mh_trace_export(self, tmp_path):
         out_csv = tmp_path / "trace.csv"
         out_json = tmp_path / "trace.json"
@@ -666,6 +676,30 @@ def test_eliminate_star_rejected_before_allocating(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ("validation error: elimination step 1 (variable 'h') would build a table of "
                            "536870912 entries, over the limit of 16777216\n")
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["sample", "gibbs-rbm", "--model", "@rbm", "--sweeps", "1000000000000"],
+     "the chain of sweeps x n_visible = 1000000000000 x 2 would have 2000000000000 entries"),
+    (["sample", "importance", "--samples", "1000000000000"],
+     "the importance sample would have 1000000000000 entries"),
+    (["sample", "mh", "--dim", "100000000", "--samples", "2"],
+     "the chain of (samples + warmup) x dim = 2 x 100000000 would have 200000000 entries"),
+    (["sample", "mh", "--dim", "1000000000000", "--samples", "2"],
+     "the chain of (samples + warmup) x dim = 2 x 1000000000000 would have 2000000000000 entries"),
+])
+def test_sampler_size_rejected_before_allocating(write_model, argv, what):
+    # Under a 1.5 GB address-space limit an allocation of this size would fail
+    # with a traceback (or, for mh, run for minutes); the check exits 2 first.
+    argv = [write_model("r.model", RBM_MODEL) if arg == "@rbm" else arg for arg in argv]
+    src = str(Path(pgmlab.__file__).resolve().parents[1])
+    limit = 1_500_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgmlab.cli", *argv, "--seed", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"validation error: {what}, over the limit of 16777216\n"
 
 
 @pytest.mark.parametrize("doc, argv, field", [

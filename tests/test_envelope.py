@@ -154,6 +154,19 @@ def test_encode_writes_arrays_as_the_two_pass_text(tree):
     assert cli._encode(tree) == json.dumps(_reference(tree), indent=2)
 
 
+@pytest.mark.parametrize("value", [1.5, 1.0, -0.0, 1e300, 2.0**-1074])
+def test_a_longdouble_scalar_is_written_as_its_float64(value):
+    # Its tolist() gives a longdouble again, so writing through it never ends.
+    assert cli._encode(np.longdouble(value)) == cli._encode(np.float64(value))
+
+
+@pytest.mark.parametrize("values", [[0.5, 0.25], [1.0], [0.5, 1.0], [[0.25, np.inf], [1e-30, 2.0]]])
+def test_a_longdouble_array_is_written_as_its_float64(values):
+    # The template path refuses all but the first: 1.0 and inf have no point in .12g text.
+    array = np.array(values, dtype=np.longdouble)
+    assert cli._encode(array) == cli._encode(array.astype(float)) == json.dumps(_reference(array.astype(float)), indent=2)
+
+
 def test_zeros_keep_an_array_on_the_one_template_path():
     # HMM outputs hold structural zeros; they must not send the array cell by cell.
     array = np.array([[0.0, 0.5, -0.0], [-0.0, 0.25, 0.0]])

@@ -238,6 +238,11 @@ class TestImportance:
         spread = (max(estimates) - min(estimates)) / np.mean(estimates)
         assert spread < 0.15
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_threshold_gives_zero_weights_without_a_warning(self):
+        # x^2 overflows to inf, so each weight is exp(-inf) = 0, the right answer.
+        assert_array_equal(gaussian_tail_weights(SeededRng(1), 10, 1e200), np.zeros(10))
+
     def test_unit_weights_give_exact_average(self):
         rng = SeededRng(13)
         out = importance_expectation(rng, lambda x: 1.0, standard_normal_logpdf,
@@ -476,10 +481,52 @@ class TestRbm:
         assert hashlib.sha256(out.astype(np.uint8).tobytes()).hexdigest()[:16] == digest
         assert float(stream.uniform()) == next_u
 
+    @pytest.mark.parametrize("given_v0", [False, True])
+    @pytest.mark.parametrize("sweeps", [1, 1024, 1025, 2500])
+    @pytest.mark.parametrize("n_visible, n_hidden", [(1, 1), (2, 5), (3, 2), (7, 3), (12, 1), (12, 6)])
+    def test_gibbs_matches_the_per_sweep_reference(self, n_visible, n_hidden, sweeps, given_v0):
+        rng = np.random.default_rng(100 * n_visible + n_hidden)
+        model = RbmModel(0.3 * rng.normal(size=(n_visible, n_hidden)), 0.2 * rng.normal(size=n_visible),
+                         0.2 * rng.normal(size=n_hidden))
+        v0 = rng.integers(0, 2, n_visible).tolist() if given_v0 else None
+        seed = int(rng.integers(2**32))
+        stream, ref_stream = SeededRng(seed), SeededRng(seed)
+        out = gibbs_rbm(stream, model, sweeps, v0)
+        assert out.dtype.kind == "i"
+        assert_array_equal(out, _gibbs_per_sweep(ref_stream, model, sweeps, v0))
+        assert float(stream.uniform()) == float(ref_stream.uniform())
+        if n_visible == 12 and sweeps == 2500:  # more visible states than the rows kept
+            assert len(np.unique(out, axis=0)) > samplers._GIBBS_BLOCK
+
+    @pytest.mark.filterwarnings("error")
+    def test_saturated_conditionals_warn_nothing(self):
+        # exp(1e308) overflows to inf, so the sigmoid is exactly 0 or 1, as it should be.
+        model = RbmModel([[1e308, -1e308]], [0.0], [-0.1, 0.2])
+        h_given_v, v_given_h = rbm_conditionals(model)
+        assert_array_equal(h_given_v([1]), [1.0, 0.0])
+        assert_array_equal(v_given_h([0, 1]), [0.0])
+        out = gibbs_rbm(SeededRng(1), model, 50)
+        assert set(out.ravel().tolist()) <= {0, 1}
+
     @pytest.mark.parametrize("v0", [[0, 1, 1], [0, 2], [0.5, 1], [[0, 1]]])
     def test_gibbs_rejects_bad_v0(self, small_model, v0):
         with pytest.raises(ValidationError, match="v0 must"):
             gibbs_rbm(SeededRng(0), small_model, 5, v0)
+
+
+def _gibbs_per_sweep(rng, model, sweeps, v0=None):
+    """Block Gibbs that recomputes both conditional rows on every sweep: the
+    reference whose chain and generator state ``gibbs_rbm`` must match."""
+    v = samplers._check_binary(np.zeros(model.n_visible) if v0 is None else v0, model.n_visible, "v0")
+    n_hidden = model.n_hidden
+    out = np.empty((sweeps, model.n_visible), dtype=int)
+    for start in range(0, sweeps, samplers._GIBBS_BLOCK):
+        block = rng.uniform(size=(min(samplers._GIBBS_BLOCK, sweeps - start), n_hidden + model.n_visible))
+        for k, u in enumerate(block, start):
+            h = (u[:n_hidden] < samplers._hidden_probs(model, v)).astype(float)
+            v = (u[n_hidden:] < samplers._visible_probs(model, h)).astype(float)
+            out[k] = v
+    return out
 
 
 class TestEss:

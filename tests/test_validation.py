@@ -263,6 +263,39 @@ class TestRejectionBudget:
         assert 10_000 * samplers.laplace_normal_bound(0.3) < samplers._MAX_PROPOSALS
 
 
+LIMIT = numerics.MAX_TABLE_ENTRIES
+
+# Each sampler with a size over the one limit: the call and its message.
+OVERSIZED = {
+    "gibbs_rbm": (lambda rng: samplers.gibbs_rbm(rng, RBM, LIMIT + 1),
+                  f"the chain of sweeps x n_visible = {LIMIT + 1} x 1 would have {LIMIT + 1} entries"),
+    "gaussian_tail_weights": (lambda rng: samplers.gaussian_tail_weights(rng, 10**12),
+                              "the importance sample would have 1000000000000 entries"),
+    "self_normalised_importance": (lambda rng: samplers.self_normalised_importance(
+        rng, lambda x: 0.0, lambda r: [0.0], [], LIMIT + 1), f"the importance weights would have {LIMIT + 1} entries"),
+    "mh": (lambda rng: samplers.mh(rng, lambda th: 0.0, [0.0, 0.0], LIMIT // 2, warmup=1),
+           f"the chain of \\(num_samples \\+ warmup\\) x dim = {LIMIT // 2 + 1} x 2 would have {LIMIT + 2} entries"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(OVERSIZED))
+def test_sampler_size_over_the_limit_is_refused_before_drawing(site):
+    call, message = OVERSIZED[site]
+    rng, ref = SeededRng(1), SeededRng(1)
+    with pytest.raises(ValidationError, match=f"^{message}, over the limit of 16777216$"):
+        call(rng)
+    assert float(rng.uniform()) == float(ref.uniform())
+
+
+def test_sampler_size_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_TABLE_ENTRIES", 6)
+    assert samplers.gibbs_rbm(SeededRng(0), RBM, 6).shape == (6, 1)
+    assert samplers.mh(SeededRng(0), lambda th: 0.0, [0.0, 0.0], 2, warmup=1).samples.shape == (2, 2)
+    assert samplers.gaussian_tail_weights(SeededRng(0), 6).shape == (6,)
+    with pytest.raises(ValidationError, match="over the limit of 6$"):
+        samplers.gibbs_rbm(SeededRng(0), RBM, 7)
+
+
 class TestFactorOverflow:
     def _overflowing(self):
         return (DiscreteFactor([("a", 2)], [1e300, 1e300]),
