@@ -365,7 +365,7 @@ def _cmd_fit_ising2(args, _):
 def _cmd_sample_mh(args, _):
     import numpy as np
 
-    from . import learning, numerics, samplers
+    from . import numerics, samplers
 
     rng = samplers.SeededRng(args.seed)
     if bool(args.out_csv) != bool(args.out_json):
@@ -382,6 +382,8 @@ def _cmd_sample_mh(args, _):
     else:  # poisson regression on (x, y) CSV columns
         if not args.data:
             raise ValidationError("--data is required for the poisson target")
+        from . import learning
+
         _, pairs = learning._read_csv(args.data, lambda row: (float(row[0]), int(row[1])))
         log_p = samplers.poisson_regression_log_pstar(pairs)
         init = np.zeros(2)
@@ -393,7 +395,7 @@ def _cmd_sample_mh(args, _):
         "mean": trace.samples.mean(axis=0),
         "variance": trace.samples.var(axis=0),
         "acceptance_rate": trace.acceptance_rate,
-        "ess": [samplers.ess(trace.samples[:, j]) for j in range(trace.samples.shape[1])],
+        "ess": trace.coordinate_ess(),
     }
     echo = {"target": args.target, "samples": args.samples, "vari": args.vari,
             "warmup": args.warmup, "data": args.data}

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -301,6 +303,18 @@ class Trace:
     def acceptance_rate(self) -> float:
         return self.accepted / self.proposals if self.proposals else 0.0
 
+    def coordinate_ess(self) -> list[float | None]:
+        """:func:`ess` of each coordinate of ``samples``, or None for one
+        with fewer than two samples or a constant series (every move
+        rejected, say): a valid chain with nothing to estimate from."""
+        out = []
+        for column in self.samples.T:
+            try:
+                out.append(ess(column))
+            except _NoSpread:
+                out.append(None)
+        return out
+
 
 def mh(
     rng: SeededRng,
@@ -318,6 +332,12 @@ def mh(
     current state into the trace.  The first ``warmup`` states are
     discarded.  A chain of more than ``MAX_TABLE_ENTRIES`` entries,
     (num_samples + warmup) x dim, is refused before the first step.
+
+    Each step consumes ``standard_normal(dim)`` then ``random()``, whatever
+    the target says, so all draws are taken, in that order, before the first
+    call to ``log_p_star``; the chain is one preallocated array, and each
+    proposal is built in the row it will occupy.  ``log_p_star`` receives
+    that row of the chain being built: it must not keep or modify it.
     """
     num_samples = count(num_samples, "num_samples")
     positive(vari, "vari")
@@ -325,35 +345,32 @@ def mh(
     current = finite_array(init, "init").reshape(-1)
     if current.size == 0:
         raise ValidationError("init must not be empty")
-    within_limit((num_samples + warmup) * current.size,
-                 f"the chain of (num_samples + warmup) x dim = {num_samples + warmup} x {current.size}")
+    total = num_samples + warmup
+    within_limit(total * current.size, f"the chain of (num_samples + warmup) x dim = {total} x {current.size}")
     current_log = float(log_p_star(current))
     if not math.isfinite(current_log):
         raise NumericError("log p* is not finite at the initial state")
-    step = math.sqrt(vari)
-    dim = current.size
+    chain = np.empty((total, current.size))
     # random() returns the same double as uniform(0.0, 1.0) from the same
     # draw, at a third of the call cost.
-    normal = rng.standard_normal
-    uniform = rng.random
-    chain = []
-    keep = chain.append
+    normal, uniform = rng.standard_normal, rng.random
+    us = []
+    for row in chain:
+        normal(out=row)
+        us.append(uniform())
+    chain *= math.sqrt(vari)
     accepted = 0
-    total = num_samples + warmup
-    for _ in range(total):
-        proposal = normal(dim)  # current + step * z, without the temporaries
-        proposal *= step
-        proposal += current
-        proposal_log = float(log_p_star(proposal))
+    for row, u in zip(chain, us):
+        np.add(current, row, out=row)  # the proposal, current + step * z
+        proposal_log = float(log_p_star(row))
         log_ratio = proposal_log - current_log
-        u = uniform()
         if log_ratio >= 0 or (u > 0 and math.log(u) < log_ratio):
-            current = proposal
+            current = row
             current_log = proposal_log
             accepted += 1
-        keep(current)
-    samples = np.concatenate(chain[warmup:]).reshape(num_samples, dim)
-    return Trace(samples, warmup, accepted, total, rng.seed)
+        else:
+            row[...] = current
+    return Trace(chain[warmup:], warmup, accepted, total, rng.seed)
 
 
 def poisson_regression_log_pstar(
@@ -506,6 +523,10 @@ def rbm_visible_unnorm_logpmf(model: RbmModel, v) -> float:
 # -- diagnostics -----------------------------------------------------------------
 
 
+class _NoSpread(ValidationError):
+    """A series too short or too constant for :func:`ess` to estimate from."""
+
+
 def ess(samples: Sequence[float]) -> float:
     """Effective sample size S / (1 + 2 sum_k rho(k)).
 
@@ -516,11 +537,11 @@ def ess(samples: Sequence[float]) -> float:
     x = finite_array(samples, "samples").reshape(-1)
     s = x.size
     if s < 2:
-        raise ValidationError("need at least two samples")
+        raise _NoSpread("need at least two samples")
     centred = x - x.mean()
     c0 = float(centred @ centred) / s
     if c0 == 0.0:
-        raise ValidationError("series is constant")
+        raise _NoSpread("series is constant")
     rho_sum = 0.0
     for k in range(1, s):
         rho = float(centred[:-k] @ centred[k:]) / s / c0
@@ -531,28 +552,52 @@ def ess(samples: Sequence[float]) -> float:
 
 
 def _open_for_writing(path, **kwargs):
+    """``path`` opened to be written from its start, but not truncated yet:
+    append mode creates a missing file and leaves an existing one as it was
+    until :func:`export_trace` has opened both of its files."""
     try:
-        return open(path, "w", **kwargs)
+        return open(path, "a", **kwargs)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def export_trace(trace: Trace, csv_path, json_path, param_names: Sequence[str]) -> None:
     """Write the trace as a CSV of samples plus a JSON sidecar with the
-    seed, warm-up length, acceptance rate, and per-dimension ESS."""
+    seed, warm-up length, acceptance rate, and per-dimension ESS (null for a
+    coordinate :meth:`Trace.coordinate_ess` has none for).
+
+    The sidecar is built and both paths are opened before either is written,
+    so a refused export creates no file and leaves an existing one as it was.
+    Both paths naming one regular file is refused.
+    """
     names = [str(n) for n in param_names]
     if len(names) != trace.samples.shape[1]:
         raise ValidationError("param_names must match the sample dimension")
-    with _open_for_writing(csv_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows(trace.samples.tolist())
     sidecar = {
         "seed": trace.seed,
         "warmup": trace.warmup,
         "acceptance_rate": trace.acceptance_rate,
-        "ess": {name: ess(trace.samples[:, j]) for j, name in enumerate(names)},
+        "ess": dict(zip(names, trace.coordinate_ess())),
     }
-    with _open_for_writing(json_path) as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    csv_created = not os.path.lexists(csv_path)
+    csv_fh = _open_for_writing(csv_path, newline="")
+    try:
+        json_fh = _open_for_writing(json_path)
+        stats = [os.fstat(fh.fileno()) for fh in (csv_fh, json_fh)]
+        if stat.S_ISREG(stats[0].st_mode) and os.path.samestat(*stats):
+            json_fh.close()
+            raise ValidationError(f"the trace and its sidecar cannot both be written to {json_path}")
+    except ValidationError:
+        csv_fh.close()
+        if csv_created:
+            os.remove(csv_path)
+        raise
+    with csv_fh, json_fh:
+        for fh, st in zip((csv_fh, json_fh), stats):
+            if stat.S_ISREG(st.st_mode):  # a device or pipe has nothing to truncate
+                fh.truncate(0)
+        writer = csv.writer(csv_fh)
+        writer.writerow(names)
+        writer.writerows(trace.samples.tolist())
+        json.dump(sidecar, json_fh, indent=2)
+        json_fh.write("\n")

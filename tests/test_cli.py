@@ -378,6 +378,48 @@ class TestSampleAndViCommands:
         rows = out_csv.read_text().splitlines()[1:]
         assert [[float(v) for v in row.split(",")] for row in rows] == trace.samples.tolist()
 
+    @pytest.mark.parametrize("argv", [
+        ["--vari", "1e8", "--samples", "50"],  # every move rejected: a constant chain
+        ["--samples", "1"],
+    ])
+    def test_mh_without_spread_reports_null_ess(self, tmp_path, schema, argv):
+        out_json = tmp_path / "trace.json"
+        env = cli.run(["sample", "mh", *argv, "--seed", "1", "--out-csv", str(tmp_path / "trace.csv"),
+                       "--out-json", str(out_json)])
+        jsonschema.validate(env, schema)
+        assert env["outputs"]["ess"] == [None, None]
+        assert env["outputs"]["variance"] == [0.0, 0.0]
+        assert json.loads(out_json.read_text())["ess"] == {"theta0": None, "theta1": None}
+        with pytest.raises(ValidationError, match="series is constant|need at least two samples"):
+            samplers.ess([0.0] * int(argv[-1]))
+
+    @pytest.mark.parametrize("sidecar, message", [
+        (lambda out_csv: out_csv.parent / "absent" / "b.json", "cannot write"),
+        (lambda out_csv: out_csv, "cannot both be written"),
+    ])
+    def test_refused_export_writes_no_file(self, tmp_path, capsys, sidecar, message):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier trace\n")
+        for out_csv in (tmp_path / "new.csv", kept):
+            argv = ["sample", "mh", "--seed", "1", "--samples", "20", "--out-csv", str(out_csv),
+                    "--out-json", str(sidecar(out_csv))]
+            assert cli.main(argv) == 2
+            assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+        assert kept.read_text() == "earlier trace\n"
+
+    def test_export_replaces_a_longer_file(self, tmp_path):
+        out_csv, out_json = tmp_path / "trace.csv", tmp_path / "trace.json"
+        for samples in ("200", "20"):
+            cli.run(["sample", "mh", "--seed", "1", "--samples", samples, "--out-csv", str(out_csv),
+                     "--out-json", str(out_json)])
+        assert len(out_csv.read_text().splitlines()) == 21
+        assert json.loads(out_json.read_text())["seed"] == 1
+
+    def test_export_to_a_device(self):
+        argv = ["sample", "mh", "--seed", "1", "--samples", "20", "--out-csv", os.devnull, "--out-json", os.devnull]
+        assert cli.main(argv) == 0
+
     def test_vi_meanfield(self, write_model):
         env = cli.run(["vi", "meanfield", "--model", write_model("m.model", MEANFIELD_MODEL)])
         assert_allclose(env["outputs"]["means"], [1 / 3, 1 / 3], atol=1e-9)
@@ -619,6 +661,23 @@ def test_graph_commands_run_without_numpy(write_model, argv):
         "print(code, 'numpy' in sys.modules)\n"
     )
     assert _python(probe, json.dumps(argv)).split() == ["0", "False"]
+
+
+def test_normal_target_mh_leaves_learning_unloaded(tmp_path):
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n0.1,1\n0.5,2\n")
+    probe = (
+        "import contextlib, io, sys\n"
+        "from pgmlab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['sample', 'mh', '--samples', '50', '--seed', '1'])]\n"
+        "    loaded = ['pgmlab.learning' in sys.modules]\n"
+        "    codes.append(cli.main(['sample', 'mh', '--target', 'poisson', '--data', sys.argv[1],\n"
+        "                           '--samples', '50', '--seed', '1']))\n"
+        "    loaded.append('pgmlab.learning' in sys.modules)\n"
+        "print(*codes, *loaded)\n"
+    )
+    assert _python(probe, str(data)).split() == ["0", "0", "False", "True"]
 
 
 def test_package_import_loads_no_submodule():

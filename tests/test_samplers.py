@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import signal
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -379,6 +380,73 @@ class TestMetropolisHastings:
         assert (trace.accepted, trace.proposals) == (accepted, n + warmup)
         assert float(rng.uniform()) == next_u
 
+    @staticmethod
+    def _assert_matches_per_step(seed, log_p, init, n, vari, warmup):
+        stream, ref_stream = SeededRng(seed), SeededRng(seed)
+        trace = mh(stream, log_p, init, n, vari, warmup)
+        samples, accepted = _mh_per_step(ref_stream, log_p, init, n, vari, warmup)
+        assert trace.samples.tobytes() == samples.tobytes()  # -0.0 and 0.0 differ too
+        assert trace.samples.shape == samples.shape
+        assert (trace.accepted, trace.proposals) == (accepted, n + warmup)
+        assert stream.random() == ref_stream.random()
+
+    @pytest.mark.parametrize("vari, warmup", [(0.05, 0), (1.0, 25), (9.0, 3), (400.0, 10)])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_mh_matches_the_per_step_reference(self, dim, vari, warmup):
+        target = lambda th: -0.5 * float(th @ th)
+        self._assert_matches_per_step(10 * dim + warmup, target, np.full(dim, 0.5), 600, vari, warmup)
+
+    @pytest.mark.parametrize("seed, n, warmup", [(1, 1, 0), (2, 400, 40), (3, 1500, 0)])
+    def test_poisson_mh_matches_the_per_step_reference(self, seed, n, warmup):
+        log_p = poisson_regression_log_pstar(POISSON_DEMO_DATA)
+        self._assert_matches_per_step(seed, log_p, [0.0, 0.0], n, 0.5, warmup)
+
+    @pytest.mark.parametrize("vari", [0.5, 4.0])
+    def test_mh_with_an_undefined_region_matches_the_per_step_reference(self, vari):
+        # -inf above 1 and nan below -1.5: both are rejected moves.
+        def log_p(th):
+            x = float(th[0])
+            return -math.inf if x > 1.0 else math.nan if x < -1.5 else -0.5 * float(th @ th)
+
+        self._assert_matches_per_step(31, log_p, [0.0, 0.2], 2000, vari, 5)
+        trace = mh(SeededRng(31), log_p, [0.0, 0.2], 2000, vari, 5)
+        assert -1.5 <= trace.samples[:, 0].min() and trace.samples[:, 0].max() <= 1.0
+
+    def test_mh_memory_per_step_is_bounded(self):
+        # The chain is one float per coordinate and step, plus one kept
+        # uniform: about 40 B a step at dim 1.  The loop that kept one array
+        # object per step peaked at about 133 B.
+        n = 200_000
+        tracemalloc.start()
+        try:
+            mh(SeededRng(1), lambda th: -0.5 * float(th @ th), [0.0], n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 80
+
+
+def _mh_per_step(rng, log_p_star, init, num_samples, vari, warmup):
+    """Random-walk MH that draws each step's proposal and uniform as it goes,
+    one new array per proposal, and joins the kept states at the end: the
+    reference whose samples, counts and generator state ``mh`` must match."""
+    current = np.asarray(init, dtype=float).reshape(-1)
+    current_log = float(log_p_star(current))
+    step = math.sqrt(vari)
+    chain, accepted = [], 0
+    for _ in range(num_samples + warmup):
+        proposal = rng.standard_normal(current.size)
+        proposal *= step
+        proposal += current
+        proposal_log = float(log_p_star(proposal))
+        log_ratio = proposal_log - current_log
+        u = rng.random()
+        if log_ratio >= 0 or (u > 0 and math.log(u) < log_ratio):
+            current, current_log = proposal, proposal_log
+            accepted += 1
+        chain.append(current)
+    return np.concatenate(chain[warmup:]).reshape(num_samples, current.size), accepted
+
 
 class TestPoissonRegression:
     def test_log_density_matches_scipy(self):
@@ -584,3 +652,11 @@ class TestTraceExport:
         assert trace.accepted <= trace.proposals == 120
         with pytest.raises(ValidationError):
             Trace(trace.samples, 0, 10, 5, 0)
+
+    def test_coordinate_ess_is_null_without_spread(self):
+        moving = [0.3, -1.0, 2.0, 0.5]
+        trace = Trace(np.array([[1.5, x] for x in moving]), 0, 3, 4, 0)
+        assert trace.coordinate_ess() == [None, ess(moving)]
+        assert Trace(np.array([[0.2, 0.4]]), 0, 1, 1, 0).coordinate_ess() == [None, None]
+        with pytest.raises(ValidationError, match="samples must be finite"):
+            Trace(np.array([[0.0], [math.inf]]), 0, 1, 2, 0).coordinate_ess()
