@@ -5,6 +5,12 @@ Nodes are opaque case-sensitive strings; whenever an order matters for
 determinism (tie-breaking, canonical output) the lexicographic order of the
 names is used.
 
+Separation is decided in one place: a search for a path that avoids the
+conditioning set.  On a UGM it runs on the graph itself.  On a DAG, z
+d-separates x from y exactly when z separates them in the moral graph of
+the ancestors of x, y and z (Lauritzen, Dawid, Larsen & Leimer 1990), so
+``d_separated`` runs the same search on that graph.
+
 ``minimal_separator`` is the one exponential search: it tries subsets by
 size, so the fixed ``DEFAULT_NODE_CAP`` guards it.  ``minimal_directed_imap``
 makes n(n-1)/2 oracle calls and keeps the same cap as part of its contract.
@@ -25,8 +31,16 @@ NodeSet = frozenset[str]
 DEFAULT_NODE_CAP = 16
 
 
+def _names(names: Iterable[str], what: str) -> tuple[str, ...]:
+    """``names`` as a tuple of strings; a bare string is refused rather than
+    read as a list of one-letter names."""
+    if isinstance(names, str):
+        raise ValidationError(f"{what} must be a list of names, not the string {names!r}")
+    return tuple(str(n) for n in names)
+
+
 def _as_nodeset(nodes: Iterable[str]) -> NodeSet:
-    return frozenset(str(n) for n in nodes)
+    return frozenset(_names(nodes, "a node set"))
 
 
 @dataclass(frozen=True)
@@ -43,7 +57,7 @@ class Dag:
     parents: Mapping[str, tuple[str, ...]]
 
     def __init__(self, nodes: Sequence[str], parents: Mapping[str, Sequence[str]]):
-        node_tuple = tuple(str(n) for n in nodes)
+        node_tuple = _names(nodes, "nodes")
         if len(set(node_tuple)) != len(node_tuple):
             raise ValidationError("duplicate node names")
         node_set = set(node_tuple)
@@ -51,7 +65,7 @@ class Dag:
         for child, pars in parents.items():
             if child not in node_set:
                 raise ValidationError(f"unknown node {child!r} in parent map")
-            pars = tuple(str(p) for p in pars)
+            pars = _names(pars, f"parents of {child!r}")
             if len(set(pars)) != len(pars):
                 raise ValidationError(f"duplicate parents for {child!r}")
             for p in pars:
@@ -60,10 +74,13 @@ class Dag:
                 if p == child:
                     raise ValidationError(f"self-loop at {child!r}")
             parent_map[child] = pars
+        children: dict[str, set[str]] = {n: set() for n in node_tuple}
         for n in node_tuple:
-            parent_map.setdefault(n, ())
+            for p in parent_map.setdefault(n, ()):
+                children[p].add(n)
         object.__setattr__(self, "nodes", node_tuple)
         object.__setattr__(self, "parents", parent_map)
+        object.__setattr__(self, "_children", {n: frozenset(cs) for n, cs in children.items()})
         if self.topological_ordering() is None:
             raise ValidationError("graph contains a directed cycle")
 
@@ -71,8 +88,9 @@ class Dag:
     def from_edges(cls, nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> "Dag":
         """Build from (parent, child) pairs; parents keep insertion order."""
         parents: dict[str, list[str]] = {}
-        for a, b in edges:
-            parents.setdefault(str(b), []).append(str(a))
+        for edge in edges:
+            a, b = _names(edge, "an edge")
+            parents.setdefault(b, []).append(a)
         return cls(nodes, parents)
 
     def parents_of(self, node: str) -> tuple[str, ...]:
@@ -81,7 +99,7 @@ class Dag:
 
     def children_of(self, node: str) -> NodeSet:
         self._check_node(node)
-        return frozenset(c for c in self.nodes if node in self.parents[c])
+        return self._children[node]
 
     def edges(self) -> frozenset[tuple[str, str]]:
         return frozenset((p, c) for c in self.nodes for p in self.parents[c])
@@ -94,7 +112,7 @@ class Dag:
         while ready:
             n = ready.popleft()
             order.append(n)
-            for c in sorted(self.children_of(n)):
+            for c in sorted(self._children[n]):
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     ready.append(c)
@@ -113,13 +131,13 @@ class Ugm:
     neighbors: Mapping[str, NodeSet]
 
     def __init__(self, nodes: Sequence[str], edges: Iterable[tuple[str, str]] = ()):
-        node_tuple = tuple(str(n) for n in nodes)
+        node_tuple = _names(nodes, "nodes")
         if len(set(node_tuple)) != len(node_tuple):
             raise ValidationError("duplicate node names")
         node_set = set(node_tuple)
         nbrs: dict[str, set[str]] = {n: set() for n in node_tuple}
-        for a, b in edges:
-            a, b = str(a), str(b)
+        for edge in edges:
+            a, b = _names(edge, "an edge")
             if a not in node_set or b not in node_set:
                 raise ValidationError(f"edge ({a!r}, {b!r}) references unknown node")
             if a == b:
@@ -186,7 +204,7 @@ def _check_query_sets(all_nodes: set[str], x: NodeSet, y: NodeSet, z: NodeSet) -
 
 def is_topological(dag: Dag, ordering: Sequence[str]) -> bool:
     """True iff ``ordering`` lists every node after all of its parents."""
-    order = [str(n) for n in ordering]
+    order = _names(ordering, "an ordering")
     for n in order:
         dag._check_node(n)
     if sorted(order) != sorted(dag.nodes):
@@ -195,26 +213,17 @@ def is_topological(dag: Dag, ordering: Sequence[str]) -> bool:
     return all(position[p] < position[c] for c in dag.nodes for p in dag.parents[c])
 
 
-def _reach(dag: Dag, node: str, step) -> NodeSet:
-    """All nodes reachable from ``node`` by repeated ``step`` (exclusive)."""
+def descendants(dag: Dag, node: str) -> NodeSet:
+    """All nodes reachable from ``node`` along directed edges (exclusive)."""
     dag._check_node(node)
     seen: set[str] = set()
     stack = [node]
     while stack:
-        for m in step(stack.pop()):
+        for m in dag._children[stack.pop()]:
             if m not in seen:
                 seen.add(m)
                 stack.append(m)
     return frozenset(seen)
-
-
-def descendants(dag: Dag, node: str) -> NodeSet:
-    """All nodes reachable from ``node`` along directed edges (exclusive)."""
-    return _reach(dag, node, dag.children_of)
-
-
-def ancestors(dag: Dag, node: str) -> NodeSet:
-    return _reach(dag, node, dag.parents.__getitem__)
 
 
 def non_descendants(dag: Dag, node: str) -> NodeSet:
@@ -222,79 +231,65 @@ def non_descendants(dag: Dag, node: str) -> NodeSet:
     return frozenset(dag.nodes) - descendants(dag, node) - {node}
 
 
+def _moral_graph(dag: Dag, nodes: Iterable[str]) -> dict[str, set[str]]:
+    """Neighbour sets of the moral graph over ``nodes`` and all their
+    ancestors: each node is joined to its parents, and co-parents to each
+    other."""
+    neighbours: dict[str, set[str]] = {n: set() for n in nodes}
+    stack = list(neighbours)
+    while stack:
+        child = stack.pop()
+        family = {child, *dag.parents[child]}
+        for m in family:
+            if m not in neighbours:
+                neighbours[m] = set()
+                stack.append(m)
+            neighbours[m] |= family
+    for m, nbrs in neighbours.items():
+        nbrs.discard(m)
+    return neighbours
+
+
+def _separated(neighbours: Mapping[str, Iterable[str]], x: NodeSet, y: NodeSet, z: NodeSet) -> bool:
+    """True iff every path from ``x`` to ``y`` in the graph ``neighbours``
+    passes through ``z``."""
+    seen = set(x | z)
+    stack = list(x)
+    while stack:
+        for m in neighbours[stack.pop()]:
+            if m in y:
+                return False
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return True
+
+
 def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str] = ()) -> bool:
     """Decide whether every trail from ``x`` to ``y`` is blocked given ``z``.
 
     Collider nodes on a trail are open when they or one of their descendants
-    is in ``z``; non-collider nodes are closed when they are in ``z``.  The
-    test runs the standard reachable-via-active-trails closure instead of
-    enumerating trails.
+    is in ``z``; non-collider nodes are closed when they are in ``z``.  By the
+    moral-ancestral criterion this holds exactly when ``z`` separates ``x``
+    from ``y`` in the moral graph of the ancestors of x, y and z, which is
+    what is searched: linear in the size of that graph.
     """
     x, y, z = _as_nodeset(x), _as_nodeset(y), _as_nodeset(z)
     _check_query_sets(set(dag.nodes), x, y, z)
-
-    # Nodes that are in z or have a descendant in z: these open colliders.
-    opens_collider = set(z)
-    for n in z:
-        opens_collider |= ancestors(dag, n)
-
-    # Closure over (node, direction): "up" means the trail reached the node
-    # against an edge (from one of its children), "down" along an edge.
-    UP, DOWN = 0, 1
-    frontier = deque((n, UP) for n in x)
-    visited: set[tuple[str, int]] = set()
-    while frontier:
-        state = frontier.popleft()
-        if state in visited:
-            continue
-        visited.add(state)
-        node, direction = state
-        if node in y and node not in z:
-            return False
-        if direction == UP and node not in z:
-            for p in dag.parents[node]:
-                frontier.append((p, UP))
-            for c in dag.children_of(node):
-                frontier.append((c, DOWN))
-        elif direction == DOWN:
-            if node not in z:
-                for c in dag.children_of(node):
-                    frontier.append((c, DOWN))
-            if node in opens_collider:
-                for p in dag.parents[node]:
-                    frontier.append((p, UP))
-    return True
+    return _separated(_moral_graph(dag, x | y | z), x, y, z)
 
 
 def u_separated(ugm: Ugm, x: Iterable[str], y: Iterable[str], z: Iterable[str] = ()) -> bool:
     """True iff removing ``z`` disconnects ``x`` from ``y``."""
     x, y, z = _as_nodeset(x), _as_nodeset(y), _as_nodeset(z)
     _check_query_sets(set(ugm.nodes), x, y, z)
-    frontier = deque(x)
-    seen = set(x)
-    while frontier:
-        n = frontier.popleft()
-        if n in y:
-            return False
-        for m in ugm.neighbors[n]:
-            if m not in seen and m not in z:
-                seen.add(m)
-                frontier.append(m)
-    return True
+    return _separated(ugm.neighbors, x, y, z)
 
 
 def markov_blanket(model: Dag | Ugm, node: str) -> NodeSet:
-    """Parents, children and co-parents in a DAG; neighbours in a UGM."""
-    if isinstance(model, Ugm):
-        return model.neighbors_of(node)
-    model._check_node(node)
-    blanket = set(model.parents[node])
-    children = model.children_of(node)
-    blanket |= children
-    for c in children:
-        blanket |= set(model.parents[c])
-    blanket.discard(node)
-    return frozenset(blanket)
+    """Neighbours in a UGM; in a DAG, the neighbours in its moral graph, which
+    are the parents, children and co-parents."""
+    return (model if isinstance(model, Ugm) else moralise(model)).neighbors_of(node)
 
 
 def ordered_markov_independencies(dag: Dag, ordering: Sequence[str]) -> list[IndependenceStatement]:
@@ -333,11 +328,8 @@ def skeleton(dag: Dag) -> Ugm:
 
 def moralise(dag: Dag) -> Ugm:
     """Skeleton plus covering edges between every pair of co-parents."""
-    edges = set(dag.edges())
-    for child in dag.nodes:
-        for a, b in itertools.combinations(dag.parents[child], 2):
-            edges.add((a, b))
-    return Ugm(dag.nodes, edges)
+    moral = _moral_graph(dag, dag.nodes)
+    return Ugm(dag.nodes, [(a, b) for a, nbrs in moral.items() for b in nbrs])
 
 
 def immoralities(dag: Dag) -> frozenset[tuple[str, str, str]]:
@@ -390,7 +382,7 @@ def minimal_directed_imap(
     oracle the result is still an I-map for what the oracle reports, but
     may not be minimal.
     """
-    nodes = [str(n) for n in nodes]
+    nodes, ordering = _names(nodes, "nodes"), _names(ordering, "an ordering")
     if sorted(ordering) != sorted(nodes):
         raise ValidationError("ordering must be a permutation of nodes")
     if len(nodes) > DEFAULT_NODE_CAP:
@@ -420,7 +412,7 @@ def ugm_from_blankets(
     that no independency beyond the stated blankets is asserted.
     """
     blanket_map = {str(k): _as_nodeset(v) for k, v in blankets.items()}
-    all_nodes = [str(n) for n in nodes] if nodes is not None else sorted(blanket_map)
+    all_nodes = _names(nodes, "nodes") if nodes is not None else sorted(blanket_map)
     node_set = set(all_nodes)
     missing = set(blanket_map) - node_set
     if missing:

@@ -162,17 +162,18 @@ def predict_visible(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np
     return hmm.emissions[t - 1].T @ hidden
 
 
-def _backward(hmm: DiscreteHmm, obs: list[int]) -> list[np.ndarray]:
-    """Backward vectors beta_1, ..., beta_n: beta_t is proportional to
-    p(v_{t+1:n} | h_t), scaled to a peak of one; beta_n is all ones."""
-    betas = [np.ones(hmm.n_states)]
+def _backward(hmm: DiscreteHmm, obs: list[int]) -> np.ndarray:
+    """Backward vectors as an (n, K) array whose row t is beta_{t+1}: beta_t is
+    proportional to p(v_{t+1:n} | h_t), scaled to a peak of one; beta_n is all ones."""
+    betas = np.empty((len(obs), hmm.n_states))
+    betas[-1] = 1.0
     for t in range(len(obs) - 1, 0, -1):
-        beta = hmm.transitions[t - 1] @ (hmm.emissions[t][:, obs[t]] * betas[-1])
+        beta = hmm.transitions[t - 1] @ (hmm.emissions[t][:, obs[t]] * betas[t])
         peak = np.maximum.reduce(beta)
         if peak <= 0.0:
             raise ImpossibleEvidenceError("evidence has probability zero")
-        betas.append(beta / peak)
-    return betas[::-1]
+        np.divide(beta, peak, out=betas[t - 1])
+    return betas
 
 
 def smooth(hmm: DiscreteHmm, observations: Sequence[int]) -> np.ndarray:
@@ -182,7 +183,7 @@ def smooth(hmm: DiscreteHmm, observations: Sequence[int]) -> np.ndarray:
     if len(obs) != hmm.n_steps:
         raise ValidationError("smoothing needs the full observation sequence")
     filtered, _, _ = _filter(hmm, obs)
-    joint = filtered * np.array(_backward(hmm, obs))
+    joint = filtered * _backward(hmm, obs)
     totals = np.add.reduce(joint, 1)
     if np.any(totals <= 0.0):
         raise ImpossibleEvidenceError("evidence has probability zero")

@@ -39,6 +39,42 @@ def stmt(left, right, given=()):
     return IndependenceStatement(frozenset(left), frozenset(right), frozenset(given))
 
 
+def reference_d_separated(dag, x, y, z):
+    """Bayes-ball closure over (node, direction) states, written only from the
+    parent map: an independent check of the moral-ancestral search."""
+    children = {n: [c for c in dag.nodes if n in dag.parents[c]] for n in dag.nodes}
+    # Nodes that are in z or have a descendant in z: these open colliders.
+    opens_collider = set(z)
+    stack = list(z)
+    while stack:
+        for p in dag.parents[stack.pop()]:
+            if p not in opens_collider:
+                opens_collider.add(p)
+                stack.append(p)
+    # "up" means the trail reached the node against an edge (from one of its
+    # children), "down" along an edge.
+    UP, DOWN = 0, 1
+    frontier = [(n, UP) for n in x]
+    visited = set()
+    while frontier:
+        state = frontier.pop()
+        if state in visited:
+            continue
+        visited.add(state)
+        node, direction = state
+        if node in y and node not in z:
+            return False
+        if direction == UP and node not in z:
+            frontier += [(p, UP) for p in dag.parents[node]]
+            frontier += [(c, DOWN) for c in children[node]]
+        elif direction == DOWN:
+            if node not in z:
+                frontier += [(c, DOWN) for c in children[node]]
+            if node in opens_collider:
+                frontier += [(p, UP) for p in dag.parents[node]]
+    return True
+
+
 class TestOrderingsAndReachability:
     def test_topological_orderings(self, five_node_dag):
         assert is_topological(five_node_dag, list("azhqe"))
@@ -59,6 +95,23 @@ class TestOrderingsAndReachability:
         assert descendants(five_node_dag, "z") == {"q", "e", "h"}
         assert descendants(five_node_dag, "e") == frozenset()
         assert non_descendants(five_node_dag, "q") == {"a", "z", "h"}
+
+    def test_long_chain_builds_and_answers_in_linear_time(self):
+        names = [f"n{i}" for i in range(10_000)]
+
+        def timed_out(*_):
+            raise TimeoutError("building and querying the chain did not end within 2 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(2)
+        try:
+            g = Dag.from_edges(names, zip(names, names[1:]))
+            below = descendants(g, names[0])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert below == frozenset(names[1:])
+        assert g.children_of(names[-2]) == {names[-1]}
 
 
 class TestDSeparation:
@@ -118,6 +171,22 @@ class TestDSeparation:
             sub = Dag(sorted(closure), {n: [p for p in g.parents[n] if p in closure]
                                         for n in closure})
             assert d_separated(g, x, y, z) == u_separated(moralise(sub), x, y, z)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 9))
+    def test_agrees_with_bayes_ball_and_family_blankets(self, seed, n_nodes):
+        rng = np.random.default_rng(seed)
+        g = random_dag(rng, n_nodes)
+        nodes = list(g.nodes)
+        for _ in range(6):
+            labels = rng.integers(0, 4, size=n_nodes)  # 0: x, 1: y, 2: z, 3: none
+            labels[rng.choice(n_nodes, size=2, replace=False)] = [0, 1]
+            x, y, z = ({n for n, k in zip(nodes, labels) if k == s} for s in range(3))
+            assert d_separated(g, x, y, z) == reference_d_separated(g, x, y, z)
+        for n in nodes:
+            children = {c for c in nodes if n in g.parents[c]}
+            co_parents = {p for c in children for p in g.parents[c]}
+            assert markov_blanket(g, n) == (set(g.parents[n]) | children | co_parents) - {n}
 
     def test_decomposition(self, chest_clinic):
         g = chest_clinic
@@ -455,6 +524,28 @@ class TestValidation:
         for a in gibbs_ugm.nodes:
             for b in gibbs_ugm.neighbors_of(a):
                 assert a in gibbs_ugm.neighbors_of(b)
+
+    @pytest.mark.parametrize("call", [
+        lambda: Dag("abc", {}),
+        lambda: Dag(["a", "b"], {"b": "a"}),
+        lambda: Dag.from_edges(["a", "b"], ["ab"]),
+        lambda: Ugm("ab"),
+        lambda: Ugm(["a", "b"], ["ab"]),
+        lambda: is_topological(Dag(["a", "b"], {}), "ab"),
+        lambda: ordered_markov_independencies(Dag(["a", "b"], {}), "ab"),
+        lambda: minimal_directed_imap(oracle_from_ugm(Ugm(["a", "b"])), "ab", ["a", "b"]),
+        lambda: minimal_directed_imap(oracle_from_ugm(Ugm(["a", "b"])), ["a", "b"], "ab"),
+        lambda: ugm_from_blankets({"a": "b"}, ["a", "b"]),
+        lambda: ugm_from_blankets({"a": ["b"]}, "ab"),
+        lambda: d_separated(Dag(["x1", "x", "y"], {}), "x1", "y"),
+        lambda: u_separated(Ugm(["x1", "x", "y"]), ["x1"], ["y"], "x"),
+        lambda: IndependenceStatement("ab", frozenset({"c"})),
+    ], ids=["dag nodes", "dag parents", "from_edges edge", "ugm nodes", "ugm edge",
+            "is_topological", "ordered_markov", "imap nodes", "imap ordering",
+            "blanket", "blanket nodes", "dsep query", "usep query", "statement"])
+    def test_bare_string_is_not_a_list_of_names(self, call):
+        with pytest.raises(ValidationError, match="not the string"):
+            call()
 
     def test_statement_validation(self):
         with pytest.raises(ValidationError):
