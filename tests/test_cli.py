@@ -1055,3 +1055,65 @@ def test_overflowing_elimination_is_a_numeric_error(write_model, capsys):
     assert code == 3
     assert capsys.readouterr().err == "numeric error: factor product over ['a', 'b'] overflows\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# Every CSV command, as argv with the data path at "@data.csv", and a header it accepts.
+_CSV_COMMANDS = {
+    "fit-cpt-mle": (["fit", "cpt-mle", "--model", "@cdag", "--data", "@data.csv"], "a,s,c"),
+    "fit-cpt-bayes": (["fit", "cpt-bayes", "--model", "@cdag", "--data", "@data.csv"], "a,s,c"),
+    "fit-score-matching": (["fit", "score-matching", "--data", "@data.csv"], "x"),
+    "fit-ising2": (["fit", "ising2", "--data", "@data.csv"], "x1,x2"),
+    "sample-mh-poisson": (["sample", "mh", "--target", "poisson", "--data", "@data.csv", "--seed", "1"], "x,y"),
+}
+
+
+def _csv_command(tmp_path, capsys, command, text):
+    argv, _ = _CSV_COMMANDS[command]
+    (tmp_path / "data.csv").write_text(text, encoding="utf-8")
+    code = cli.main(_resolve(argv, tmp_path))
+    return code, capsys.readouterr().err, tmp_path / "data.csv"
+
+
+@pytest.mark.parametrize("command", sorted(_CSV_COMMANDS))
+def test_a_header_without_rows_exits_2(tmp_path, capsys, command):
+    code, err, path = _csv_command(tmp_path, capsys, command, _CSV_COMMANDS[command][1] + "\n\r\n\n")
+    assert code == 2
+    assert err == f"validation error: {path}: no data rows\n"
+
+
+@pytest.mark.parametrize("cell", ["1.5", "1.0", "1e0"])
+@pytest.mark.parametrize("command, text", [
+    ("fit-cpt-mle", "a,s,c\n0,1,{}\n"),
+    ("fit-ising2", "x1,x2\n-1,{}\n"),
+    ("sample-mh-poisson", "x,y\n0.5,{}\n"),
+])
+def test_an_integer_cell_is_read_as_an_integer(tmp_path, capsys, command, text, cell):
+    code, err, path = _csv_command(tmp_path, capsys, command, text.format(cell))
+    assert code == 2
+    assert err == f"validation error: {path}:2: cannot read row {text.split(chr(10))[1].format(cell)!r}\n"
+
+
+# Rows the Python row loop read and NumPy's reader refuses.  NumPy's int parser reads
+# some non-ASCII letters as digits ("Ǿ" as 462), so a data row must be ASCII.
+@pytest.mark.parametrize("command, header, row", [
+    ("sample-mh-poisson", "x,y", "0.5,1_0"),
+    ("sample-mh-poisson", "x,y", "0.5,١"),
+    ("sample-mh-poisson", "x,y", "0.5,Ǿ"),
+    ("sample-mh-poisson", "x,y", "0.5,\xa01"),
+    ("sample-mh-poisson", "x,y", "0.5,99999999999999999999"),
+    ("sample-mh-poisson", "x,y,z", "0.5,1,7"),
+    ("fit-score-matching", "x,label", "0.5,a"),
+])
+def test_rows_numpy_does_not_read_exit_2(tmp_path, capsys, command, header, row):
+    code, err, path = _csv_command(tmp_path, capsys, command, f"{header}\n{row}\n")
+    assert code == 2
+    assert err == f"validation error: {path}:2: cannot read row {row!r}\n"
+
+
+@pytest.mark.parametrize("command", sorted(_CSV_COMMANDS))
+def test_a_data_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    argv, header = _CSV_COMMANDS[command]
+    (tmp_path / "data.csv").write_bytes(header.encode() + b"\n\xff\n")
+    assert cli.main(_resolve(argv, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and str(tmp_path / "data.csv") in err

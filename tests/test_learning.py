@@ -1,13 +1,17 @@
 """Counting estimators, score matching, the two-variable Ising MLE, and
 factor-analysis marginals."""
 
+import csv
 import math
 import signal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from pgmlab import learning
 from pgmlab.errors import NumericError, SingularMatrixError, ValidationError
 from pgmlab.graphs import Dag
 from pgmlab.learning import (
@@ -393,3 +397,95 @@ class TestCsvLoading:
         path.write_text("a,s\n0,1\n\n1\n")
         with pytest.raises(ValidationError, match=r"d\.csv:4:"):
             BinaryDataset.from_csv(path)
+
+
+def reference_read_csv(path, parse_row):
+    """The CSV reader as a Python loop over ``csv.reader`` rows, one ``parse_row``
+    call per nonempty data row: the reference for ``learning._read_csv``."""
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file") from None
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                rows.append(parse_row(row))
+            except (ValueError, IndexError):
+                raise ValidationError(f"{path}:{lineno}: cannot read row {','.join(row)!r}") from None
+    return [h.strip() for h in header], rows
+
+
+_POISSON = np.dtype([("x", float), ("y", int)])
+# dtype -> (the reference's row parser, a strategy for one column's cell texts)
+_CELLS = {
+    "int": (lambda row: [int(x) for x in row],
+            st.builds(lambda v, fmt: fmt.format(v), st.integers(-2**63, 2**63 - 1),
+                      st.sampled_from(["{}", " {}", "{} ", "\t{} ", "+{}"]))),
+    "float": (lambda row: [float(x) for x in row],
+              st.builds(lambda v, fmt: fmt(v), st.floats(width=64),
+                        st.sampled_from([repr, "%.6f".__mod__, "%.17g".__mod__]))),
+}
+# "\x1c1" and "1\x1f": NumPy pads cells with the ASCII separators, which int() and float() refuse.
+_FAULTS = ["abc", "", "1.5", "1.0", "1e0", "1 0", "--1", "0x1", "1,0", "\x1c1", "1\x1f"]
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text of one dtype, with CRLF or LF line ends, blank lines, quoted cells and,
+    now and then, a fault: a bad cell or a row of another width."""
+    kind = draw(st.sampled_from(["int", "float", "poisson"]))
+    width = 2 if kind == "poisson" else draw(st.integers(1, 3))
+    columns = [_CELLS["float"][1], _CELLS["int"][1]] if kind == "poisson" else [_CELLS[kind][1]] * width
+    rows = draw(st.lists(st.tuples(*columns).map(list), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+        fault = draw(st.sampled_from(_FAULTS + ["ragged"]))
+        rows[r] = rows[r][:c] if fault == "ragged" else rows[r][:c] + [fault] + rows[r][c + 1:]
+    lines = [",".join(f"c{k}" for k in range(width))]
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 1))
+        quoted = draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row)))
+        lines.append(",".join(f'"{cell}"' if q else cell for cell, q in zip(row, quoted)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    return kind, "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_files())
+@example(("int", 'c0\r\n"1,0"\r\n'))  # a quoted cell that holds the delimiter
+@example(("float", 'c0\n1\n\x1d2\n'))
+@example(("int", 'c0,c1\n1\n2\n'))  # every row one field short: NumPy reads it as one column
+def test_read_csv_matches_the_row_loop(tmp_path_factory, case):
+    kind, text = case
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode())
+    if kind == "poisson":
+        parse_row, dtype = (lambda row: (float(row[0]), int(row[1]))), _POISSON
+    else:
+        parse_row, dtype = _CELLS[kind][0], np.dtype(kind)
+    try:
+        header, rows = reference_read_csv(path, parse_row)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            learning._read_csv(path, dtype)
+        assert str(info.value) == str(exc)
+        return
+    if not rows:  # the row loop read a header alone as no data
+        with pytest.raises(ValidationError, match=" no data rows$"):
+            learning._read_csv(path, dtype)
+        return
+    got_header, table = learning._read_csv(path, dtype)
+    assert got_header == header
+    expected = np.array(rows, dtype).reshape(len(rows), -1)
+    assert table.dtype == dtype and table.shape == expected.shape
+    assert table.tobytes() == expected.tobytes()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from pgmlab import sequential
 from pgmlab.errors import ImpossibleEvidenceError, NumericError, ValidationError
 from pgmlab.factors import DiscreteFactor
 from pgmlab.graphs import Dag
@@ -212,6 +213,28 @@ class TestSmoothing:
             for path, p in table.items():
                 ref[path[t - 2], path[t - 1]] += p
             assert_allclose(pair, ref / z, atol=1e-9)
+
+    def test_pairwise_is_the_full_pass_product_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for n_states, n_steps in [(2, 2), (3, 9), (4, 30)]:
+            hmm = random_hmm(rng, n_states, n_steps, 3)
+            obs = [int(v) for v in rng.integers(0, 3, size=n_steps)]
+            filtered, _, _ = sequential._filter(hmm, obs)
+            betas = sequential._backward(hmm, obs)
+            for t in range(2, n_steps + 1):
+                joint = (filtered[t - 2][:, None] * hmm.transitions[t - 2]
+                         * (hmm.emissions[t - 1][:, obs[t - 1]] * betas[t - 1])[None, :])
+                assert np.array_equal(smooth_pairwise(hmm, obs, t), joint / joint.sum())
+
+    @pytest.mark.parametrize("emission", [
+        [[1.0, 0.0], [0.0, 1.0]],  # state 1, unreachable from state 0, is the only one to emit 1
+        [[1.0, 0.0], [1.0, 0.0]],  # no state emits 1: the backward pass meets it
+    ])
+    def test_pairwise_refuses_impossible_evidence_after_step_t(self, emission):
+        hmm = DiscreteHmm.homogeneous([1.0, 0.0], np.eye(2), np.array(emission), 4)
+        for t in (2, 3):
+            with pytest.raises(ImpossibleEvidenceError):
+                smooth_pairwise(hmm, [0, 0, 0, 1], t)
 
 
 class TestViterbi:
