@@ -252,64 +252,64 @@ def eliminate(
 
     At each step every factor mentioning the next variable is multiplied
     into one table which is then sum-marginalised; the report records the
-    size of each such table.  Those sizes follow from the scopes alone, so
-    they are worked out first: a run that would build a table of more than
-    ``MAX_TABLE_ENTRIES`` entries raises ``ValidationError`` naming the step
-    and its variable, before any table is built.
+    size of each such table.  :func:`_plan` works out from the scopes which
+    factors join at each step and those sizes, so a run that would build a
+    table of more than ``MAX_TABLE_ENTRIES`` entries raises ``ValidationError``
+    naming the step and its variable before any table is built.
     """
     keep = {str(v) for v in keep}
     order = [str(v) for v in order]
     if keep & set(order):
         raise ValidationError("keep and order must be disjoint")
-    all_vars: set[str] = set()
-    for f in factors:
-        all_vars |= set(f.var_names)
-    stray = all_vars - keep - set(order)
-    if stray:
-        raise ValidationError(f"variables {sorted(stray)} appear in neither keep nor order")
-    if sorted(order) != sorted(all_vars - keep):
-        raise ValidationError("order must be a permutation of the eliminated variables")
-    missing = keep - all_vars
-    if missing:
-        raise ValidationError(f"keep variables {sorted(missing)} appear in no factor")
-
-    sizes = _elimination_sizes(factors, order)
     work = list(factors)
-    intermediates: list[DiscreteFactor] = []
-    for var in order:
-        touching = [f for f in work if var in f.var_names]
-        work = [f for f in work if var not in f.var_names]
-        reduced = sum_marginalise(product(touching), var)
-        intermediates.append(reduced)
-        work.append(reduced)
-    result = product(work) if work else DiscreteFactor((), [1.0])
-    report = EliminationReport(tuple(order), tuple(sizes), tuple(intermediates))
-    return result, report
+    steps, sizes, rest = _plan([f.scope for f in work], keep, order)
+    for var, slots in zip(order, steps):
+        work.append(sum_marginalise(product([work[s] for s in slots]), var))
+    report = EliminationReport(tuple(order), tuple(sizes), tuple(work[len(factors):]))
+    return product([work[s] for s in rest]), report
 
 
-def _elimination_sizes(factors: Sequence[DiscreteFactor], order: Sequence[str]) -> list[int]:
-    """Entry count of the product table at each step of ``eliminate``,
-    from the scopes alone; raises if a step or the result is too large."""
-    work = [dict(f.scope) for f in factors]
-    sizes = []
+def _plan(scopes: list[Scope], keep: set[str], order: list[str]) -> tuple[list[list[int]], list[int], list[int]]:
+    """The slots each step of ``eliminate`` multiplies, in slot order, and the entry count of
+    their product; then the slots left for the result.  Slot k is input factor k, then the
+    table reduced at step k - len(scopes).  Each variable maps to the live slots that hold it,
+    so the walk is linear in the total scope size.  Raises if ``order`` and ``keep`` do not
+    split the variables, or if a step or the result would exceed ``MAX_TABLE_ENTRIES``."""
+    tables: list[dict[str, int] | None] = [dict(scope) for scope in scopes]  # None once multiplied
+    holders: dict[str, dict[int, None]] = {}  # dicts as sets, in slot order
+    for slot, table in enumerate(tables):
+        for name in table:
+            holders.setdefault(name, {})[slot] = None
+    steps, sizes = [], []
     for step, var in enumerate(order, 1):
+        slots = list(holders.pop(var, ()))
+        if not slots:  # repeated, or in no factor
+            raise ValidationError("order must be a permutation of the eliminated variables")
         union: dict[str, int] = {}
-        for scope in work:
-            if var in scope:
-                union.update(scope)
-        work = [scope for scope in work if var not in scope]
+        for s in slots:
+            union.update(tables[s])
+            for name in tables[s]:
+                if name != var:
+                    del holders[name][s]
+            tables[s] = None
         size = math.prod(union.values())
         if size > MAX_TABLE_ENTRIES:
             raise ValidationError(f"elimination step {step} (variable {var!r}) would build a table of {size} "
                                   f"entries, over the limit of {MAX_TABLE_ENTRIES}")
-        sizes.append(size)
         del union[var]
-        work.append(union)
-    result: dict[str, int] = {}
-    for scope in work:
-        result.update(scope)
+        for name in union:
+            holders[name][len(tables)] = None
+        tables.append(union)
+        steps.append(slots)
+        sizes.append(size)
+    if holders.keys() - keep:
+        raise ValidationError(f"variables {sorted(holders.keys() - keep)} appear in neither keep nor order")
+    if keep - holders.keys():
+        raise ValidationError(f"keep variables {sorted(keep - holders.keys())} appear in no factor")
+    rest = [s for s, table in enumerate(tables) if table is not None]
+    result = {name: card for s in rest for name, card in tables[s].items()}
     size = math.prod(result.values())
     if size > MAX_TABLE_ENTRIES:
         raise ValidationError(f"the result over {sorted(result)} would have {size} entries, "
                               f"over the limit of {MAX_TABLE_ENTRIES}")
-    return sizes
+    return steps, sizes, rest

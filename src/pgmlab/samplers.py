@@ -374,15 +374,22 @@ def mh(
 
 
 def poisson_regression_log_pstar(
-    data: Sequence[tuple[float, int]],
+    data: Sequence[tuple[float, int]] | np.ndarray,
 ) -> Callable[[np.ndarray], float]:
     """Unnormalised log posterior for Poisson regression with rate
-    exp(alpha x + beta) and N(0, 100) priors on both coefficients."""
-    xs = finite_array([x for x, _ in data], "data")
-    ys = np.array([int(y) for _, y in data])
+    exp(alpha x + beta) and N(0, 100) priors on both coefficients.  ``data``
+    is (x, y) pairs or an (n, 2) array; each count y is a non-negative whole number."""
+    table = finite_array(data, "data")
+    if table.shape[1:] != (2,) and table.size:  # an empty table is no data
+        raise ValidationError("data must be (x, y) pairs")
+    xs, ys = table.reshape(-1, 2).T.copy()  # contiguous columns
     if np.any(ys < 0):
         raise ValidationError("counts must be non-negative")
-    log_fact = np.array([math.lgamma(y + 1.0) for y in ys])
+    if np.any(ys != np.floor(ys)):
+        raise ValidationError("counts must be whole numbers")
+    # NumPy has no lgamma: one math.lgamma call per distinct count.
+    counts, index = np.unique(ys, return_inverse=True)
+    log_fact = np.array([math.lgamma(c + 1.0) for c in counts])[index]
 
     def log_pstar(theta: np.ndarray) -> float:
         alpha, beta = float(theta[0]), float(theta[1])

@@ -610,6 +610,20 @@ class TestSplitTreesAndMalformedInputs:
             assert cli.main(argv) == 2, argv
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["0_1", "\u0661"])  # Python's int and float read both as 1
+    def test_number_lists_refuse_what_the_csv_reader_refuses(self, write_model, capsys, bad):
+        hmm, kalman = write_model("h.model", HMM_MODEL), write_model("k.model", KALMAN_MODEL)
+        loop = write_model("l.model", LOOP_MODEL)
+        for argv, message in (
+                (["hmm", "filter", "--model", hmm, "--obs", f"0,{bad},1"], "observations must be integers"),
+                (["fg", "marginal", "--model", loop, "--var", "x2", "--evidence", f"x1={bad}"],
+                 f"evidence state in 'x1={bad}' must be an integer"),
+                (["kalman", "filter", "--model", kalman, f"--obs=0.5,{bad}"],
+                 f"expected comma-separated numbers, got '0.5,{bad}'"),
+                (["vi", "klfit", "--variances", f"1,{bad}"], f"expected comma-separated numbers, got '1,{bad}'")):
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr().err == f"validation error: {message}\n"
+
     @pytest.mark.parametrize("argv", [["fit", "score-matching"],
                                       ["sample", "mh", "--target", "poisson", "--seed", "1"]])
     def test_bad_csv_row_names_path_and_line(self, tmp_path, capsys, argv):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -29,6 +30,27 @@ from conftest import factor_graph_joint, loop_factors
 def random_factor(rng, scope):
     size = int(np.prod([c for _, c in scope]))
     return DiscreteFactor(scope, rng.uniform(0.1, 5.0, size=size))
+
+
+def reference_eliminate(factors, order):
+    """The work-list loop ``eliminate`` ran before its scope walk: each step scans
+    the whole list for the factors that hold its variable.  Returns the result, the
+    size of each step's product and the reduced tables, for valid input only."""
+    work = list(factors)
+    sizes, intermediates = [], []
+    for var in order:
+        touching = [f for f in work if var in f.var_names]
+        work = [f for f in work if var not in f.var_names]
+        joined = product(touching)
+        sizes.append(joined.values.size)
+        intermediates.append(sum_marginalise(joined, var))
+        work.append(intermediates[-1])
+    result = product(work) if work else DiscreteFactor((), [1.0])
+    return result, tuple(sizes), intermediates
+
+
+def same_bits(f, g):
+    return f.scope == g.scope and f.values.tobytes() == g.values.tobytes()
 
 
 class TestLayout:
@@ -410,3 +432,63 @@ class TestEliminate:
             eliminate(conditioned, {"x2", "x3"}, ["x4", "x5", "x3"])  # overlap
         with pytest.raises(ValidationError):
             eliminate(conditioned, {"ghost", "x2"}, ["x4", "x5", "x3"])
+
+    @pytest.mark.parametrize("keep, order, message", [
+        ({"x2"}, ["x4", "x5", "x3", "x4"], "order must be a permutation of the eliminated variables"),
+        ({"x2"}, ["x4", "ghost", "x5", "x3"], "order must be a permutation of the eliminated variables"),
+        ({"x2"}, ["x4", "x5"], r"variables \['x3'\] appear in neither keep nor order"),
+        ({"x2", "ghost"}, ["x4", "x5", "x3"], r"keep variables \['ghost'\] appear in no factor"),
+        ({"x2", "x3"}, ["x4", "x5", "x3"], "keep and order must be disjoint"),
+    ])
+    def test_invalid_keep_and_order(self, conditioned, keep, order, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            eliminate(conditioned, keep, order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), cards=st.lists(st.integers(1, 3), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_work_list_loop_bit_for_bit(self, data, cards, seed):
+        # Empty scopes and cardinality 1 included: the walk must take every product in the
+        # loop's order, so each table, scope and size is the loop's to the last bit.
+        variables = list(zip([f"v{i}" for i in range(len(cards))], cards))
+        scopes = data.draw(st.lists(st.lists(st.sampled_from(variables), max_size=3, unique=True), max_size=6))
+        rng = np.random.default_rng(seed)
+        factors = [random_factor(rng, scope) for scope in scopes]
+        mentioned = sorted({name for scope in scopes for name, _ in scope})
+        keep = data.draw(st.lists(st.sampled_from(mentioned), unique=True)) if mentioned else []
+        order = data.draw(st.permutations([v for v in mentioned if v not in keep]))
+
+        result, report = eliminate(factors, keep, order)
+
+        expected, sizes, intermediates = reference_eliminate(factors, order)
+        assert same_bits(result, expected)
+        assert report.step_sizes == sizes
+        assert len(report.intermediates) == len(intermediates)
+        assert all(same_bits(f, g) for f, g in zip(report.intermediates, intermediates))
+
+    def test_long_chain_is_linear(self):
+        # Row-stochastic links keep every reduced table a distribution, so nothing underflows;
+        # a walk that rescanned every factor at each step would take minutes.
+        rng = np.random.default_rng(3)
+        names = [f"v{i:05d}" for i in range(10_000)]
+        prior = np.array([0.3, 0.7])
+        links = rng.uniform(0.1, 1.0, size=(len(names) - 1, 2, 2))
+        links /= links.sum(axis=2, keepdims=True)
+
+        def timed_out(*_):
+            raise TimeoutError("eliminating the chain did not end within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            chain = [DiscreteFactor([(names[0], 2)], prior)]
+            chain += [DiscreteFactor.from_ndarray([(a, 2), (b, 2)], t) for a, b, t in zip(names, names[1:], links)]
+            result, report = eliminate(chain, {names[-1]}, names[:-1])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        expected = prior
+        for t in links:
+            expected = expected @ t
+        assert result.var_names == (names[-1],)
+        assert_allclose(result.values, expected, rtol=1e-12)
+        assert report.step_sizes == (4,) * (len(names) - 1)

@@ -464,6 +464,22 @@ class TestPoissonRegression:
         prior = 2 * float(stats.norm.logpdf(0.3, 0, 10))
         assert math.isclose(log_p(np.array([0.3, 0.3])), prior, rel_tol=1e-9)
 
+    def test_array_and_pairs_give_the_same_bits(self):
+        from_pairs = poisson_regression_log_pstar(POISSON_DEMO_DATA)
+        from_array = poisson_regression_log_pstar(np.array(POISSON_DEMO_DATA))
+        for theta in np.random.default_rng(0).normal(size=(20, 2)):
+            assert from_pairs(theta) == from_array(theta)
+
+    @pytest.mark.parametrize("data, message", [
+        ([(0.1, 1.5)], "counts must be whole numbers"),  # not read as 1
+        ([(0.1, -1)], "counts must be non-negative"),
+        ([(0.1, 1, 2)], r"data must be \(x, y\) pairs"),
+        ([0.1, 1], r"data must be \(x, y\) pairs"),
+    ])
+    def test_bad_data_rejected(self, data, message):
+        with pytest.raises(ValidationError, match=message):
+            poisson_regression_log_pstar(data)
+
     def test_posterior_moments(self):
         log_p = poisson_regression_log_pstar(POISSON_DEMO_DATA)
         trace = mh(SeededRng(2024), log_p, [0.0, 0.0], 5_000, 1.0, 1_000)
