@@ -387,9 +387,7 @@ def poisson_regression_log_pstar(
         raise ValidationError("counts must be non-negative")
     if np.any(ys != np.floor(ys)):
         raise ValidationError("counts must be whole numbers")
-    # NumPy has no lgamma: one math.lgamma call per distinct count.
-    counts, index = np.unique(ys, return_inverse=True)
-    log_fact = np.array([math.lgamma(c + 1.0) for c in counts])[index]
+    log_fact = np.array([math.lgamma(y + 1.0) for y in ys])
 
     def log_pstar(theta: np.ndarray) -> float:
         alpha, beta = float(theta[0]), float(theta[1])
