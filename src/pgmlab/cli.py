@@ -33,6 +33,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Scalar options read numbers as number lists do.  The option's type
+        # stays int or float, so argparse still says "invalid int value".
+        self.register("type", int, _number)
+        self.register("type", float, functools.partial(_number, kind=float))
+
     # argparse exits with 2 on bad usage; route through our own exit code.
     def error(self, message):
         raise _UsageError(message)

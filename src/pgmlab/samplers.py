@@ -333,9 +333,10 @@ def mh(
     discarded.  A chain of more than ``MAX_TABLE_ENTRIES`` entries,
     (num_samples + warmup) x dim, is refused before the first step.
 
-    Each step consumes ``standard_normal(dim)`` then ``random()``, whatever
-    the target says, so all draws are taken, in that order, before the first
-    call to ``log_p_star``; the chain is one preallocated array, and each
+    All draws are taken before the first call to ``log_p_star``, whatever
+    the target says: ``standard_normal((num_samples + warmup, dim))`` for the
+    whole chain's proposal noise, then ``random(num_samples + warmup)`` for
+    its acceptance uniforms.  The chain is that one array of noise, and each
     proposal is built in the row it will occupy.  ``log_p_star`` receives
     that row of the chain being built: it must not keep or modify it.
     """
@@ -350,14 +351,8 @@ def mh(
     current_log = float(log_p_star(current))
     if not math.isfinite(current_log):
         raise NumericError("log p* is not finite at the initial state")
-    chain = np.empty((total, current.size))
-    # random() returns the same double as uniform(0.0, 1.0) from the same
-    # draw, at a third of the call cost.
-    normal, uniform = rng.standard_normal, rng.random
-    us = []
-    for row in chain:
-        normal(out=row)
-        us.append(uniform())
+    chain = rng.standard_normal((total, current.size))
+    us = rng.random(total).tolist()  # floats: the loop is slower over np.float64
     chain *= math.sqrt(vari)
     accepted = 0
     for row, u in zip(chain, us):

@@ -624,6 +624,22 @@ class TestSplitTreesAndMalformedInputs:
             assert cli.main(argv) == 2, argv
             assert capsys.readouterr().err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize("bad", ["1_0", "١"])  # Python's int and float read 10 and 1
+    @pytest.mark.parametrize("argv, flag, kind", [
+        (["sample", "rejection", "--samples", "10"], "--seed", "int"),
+        (["sample", "rejection", "--seed", "1"], "--samples", "int"),
+        (["sample", "mh", "--seed", "1", "--samples", "20"], "--vari", "float"),
+    ])
+    def test_scalar_options_refuse_what_number_lists_refuse(self, capsys, argv, flag, kind, bad):
+        assert cli.main([*argv, flag, bad]) == 4
+        assert capsys.readouterr().err == (
+            f"usage error: argument {flag}: invalid {kind} value: {bad!r}\n")
+
+    def test_scalar_options_keep_python_number_syntax(self, capsys):
+        assert cli.main(["sample", "mh", "--seed", " 1", "--samples", "+20", "--vari", "2.5e-1"]) == 0
+        envelope = _without_elapsed(capsys.readouterr().out)
+        assert (envelope["seed"], envelope["inputs"]["samples"], envelope["inputs"]["vari"]) == (1, 20, 0.25)
+
     @pytest.mark.parametrize("argv", [["fit", "score-matching"],
                                       ["sample", "mh", "--target", "poisson", "--seed", "1"]])
     def test_bad_csv_row_names_path_and_line(self, tmp_path, capsys, argv):
