@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from collections import Counter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from .errors import NumericError, PgmlabError, ValidationError
 from .modelio import ModelDocument, parse_model, serialise_model
@@ -620,25 +620,23 @@ def main(argv=None) -> int:
     return 0
 
 
-def console_main() -> int:
+def console_main() -> NoReturn:
     """Entry point of the ``pgmlab`` script and ``python -m pgmlab.cli``.
 
-    Runs :func:`main`; if the reader closed standard output, points it at
-    devnull so the interpreter's final flush stays quiet, the recipe from the
-    ``signal`` docs.  That is only safe because the process is about to exit,
-    so in-process callers of :func:`main` never reach it.
+    Runs :func:`main`, flushes both output streams and ends the process
+    through ``os._exit``, skipping interpreter teardown.  If the reader
+    closed standard output, its unsent bytes are dropped.  Every file a
+    command writes is closed before :func:`main` returns, and atexit
+    handlers do not run.  In-process callers of :func:`main` never reach it.
     """
     code = main()
-    if code == EXIT_BROKEN_PIPE:
-        try:
-            fd = sys.stdout.fileno()
-        except (AttributeError, OSError, ValueError):
-            return code
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, fd)
-        os.close(devnull)
-    return code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        pass
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(console_main())
+    console_main()

@@ -841,22 +841,91 @@ def test_unused_variable_cardinality_exits_2(write_model, capsys, argv, card):
     assert err == f"validation error: variable 'b': cardinality must be a positive integer, got {card}\n"
 
 
-def test_closed_pipe_exits_1_without_traceback(tmp_path):
-    steps = 3000  # an envelope far larger than a pipe buffer
+def _long_filter(tmp_path, steps: int) -> list[str]:
+    """The arguments of a ``steps``-step ``hmm filter`` on HMM_MODEL's chain."""
     model = tmp_path / "long.model"
     model.write_text(json.dumps({"hmm": {**HMM_MODEL["hmm"], "steps": steps}}))
-    src = str(Path(pgmlab.__file__).resolve().parents[1])
-    proc = subprocess.Popen([sys.executable, "-m", "pgmlab.cli", "hmm", "filter", "--model", str(model),
-                             "--obs", ",".join("1" * steps)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.readline().strip() == b"{"
+    return ["hmm", "filter", "--model", str(model), "--obs", ",".join("1" * steps)]
+
+
+def _cli_env() -> dict[str, str]:
+    """The environment of a ``python -m pgmlab.cli`` process on this pgmlab.  Its
+    standard streams are buffered, as by default, so a missing flush would show."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pgmlab.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _cli_process(argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m pgmlab.cli argv`` run to its end."""
+    return subprocess.run([sys.executable, "-m", "pgmlab.cli", *argv], env=_cli_env(), timeout=120, **kwargs)
+
+
+# Both outputs of these filters are far larger than a pipe buffer (64 KiB):
+# the table writes about 12 bytes a step, the JSON envelope about 50.
+_LONG_OUTPUTS = pytest.mark.parametrize("table, steps", [([], 3000), (["--table"], 20000)], ids=["json", "table"])
+
+
+@_LONG_OUTPUTS
+def test_closed_pipe_exits_1_without_traceback(tmp_path, table, steps):
+    proc = subprocess.Popen([sys.executable, "-m", "pgmlab.cli", *table, *_long_filter(tmp_path, steps)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
+    assert proc.stdout.readline().strip() == (b"command: hmm filter" if table else b"{")
     proc.stdout.close()  # the reader goes away, as `head -1` would
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == ""
 
+
+@_LONG_OUTPUTS
+def test_process_writes_a_long_output_whole(tmp_path, capsys, table, steps):
+    # The process ends through os._exit, so bytes left unflushed at that point would be lost.
+    argv = [*table, *_long_filter(tmp_path, steps)]
+    out = tmp_path / "out.txt"
+    with out.open("w") as fh:
+        proc = _cli_process(argv, stdout=fh, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    text = out.read_text()
+    assert len(text) > 64 * 1024
+    assert cli.main(argv) == 0
+    in_process = capsys.readouterr().out
+    assert [line for line in text.splitlines(True) if "elapsed_seconds" not in line] == \
+        [line for line in in_process.splitlines(True) if "elapsed_seconds" not in line]
+    if not table:
+        envelope, expected = json.loads(text), cli.run(argv)
+        del envelope["elapsed_seconds"], expected["elapsed_seconds"]
+        assert envelope == expected
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["hmm", "filter", "--model", "@hmm", "--obs", "0,0_1,1"], 2,
+     "validation error: observations must be integers\n"),
+    (["kalman", "filter", "--model", "@overflow", "--obs", "1,2"], 3,
+     "numeric error: filtered state at step 1 has predicted mean inf and variance inf\n"),
+    (["sample", "rejection", "--samples", "1_0", "--seed", "1"], 4,
+     "usage error: argument --samples: invalid int value: '1_0'\n"),
+])
+def test_process_error_exit_writes_its_message_whole(write_model, argv, code, err):
+    overflow = {"kalman": {**KALMAN_MODEL["kalman"], "A": [1e200, 1e200], "prior": {"mean": 1e200, "var": 1.0}}}
+    paths = {"@hmm": write_model("h.model", HMM_MODEL), "@overflow": write_model("o.model", overflow)}
+    proc = _cli_process([paths.get(a, a) for a in argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+def test_process_closes_its_trace_files(tmp_path):
+    # A 5,000-step chain writes far more than one file buffer to the CSV.
+    argv = ["sample", "mh", "--samples", "5000", "--seed", "3"]
+    files = [tmp_path / name for name in ("a.csv", "a.json", "b.csv", "b.json")]
+    proc = _cli_process([*argv, "--out-csv", str(files[0]), "--out-json", str(files[1])],
+                        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    rows = files[0].read_text().splitlines()
+    assert rows[0] == "theta0,theta1" and len(rows) == 1 + 5000
+    assert set(json.loads(files[1].read_text())) == {"seed", "warmup", "acceptance_rate", "ess"}
+    cli.run([*argv, "--out-csv", str(files[2]), "--out-json", str(files[3])])
+    assert files[0].read_bytes() == files[2].read_bytes()
+    assert files[1].read_bytes() == files[3].read_bytes()
 
 
 class _ClosedPipe(io.StringIO):
