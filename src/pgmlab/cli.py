@@ -596,22 +596,26 @@ def _execute(args: argparse.Namespace) -> dict:
     }
 
 
+def _fail(message: str, code: int) -> int:
+    if sys.stderr is not None:  # None if the process started with it closed
+        print(message, file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         envelope = _execute(args)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"usage error: {exc}", EXIT_USAGE)
     except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail(f"validation error: {exc}", EXIT_VALIDATION)
     except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail(f"numeric error: {exc}", EXIT_NUMERIC)
     except PgmlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail(f"error: {exc}", EXIT_NUMERIC)
+    if sys.stdout is None:  # the process started with it closed: as a closed pipe
+        return EXIT_BROKEN_PIPE
     try:
         _print_envelope(envelope, args.table)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
@@ -630,11 +634,12 @@ def console_main() -> NoReturn:
     handlers do not run.  In-process callers of :func:`main` never reach it.
     """
     code = main()
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        pass
-    sys.stderr.flush()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None if the process started with it closed
+                stream.flush()
+        except BrokenPipeError:
+            pass
     os._exit(code)
 
 

@@ -1,10 +1,10 @@
 """Exact sum-product and max-sum message passing on factor trees and forests.
 
 Both run on one iterative engine parameterised by the semiring, on plain
-arrays.  Sum-product messages stay in the linear domain, renormalised to a
-max entry of one with the removed scale kept in a log term, so long chains
-cannot underflow while :attr:`Message.linear` recovers the worked numbers.
-Max-sum messages hold log values plus argmax tables for backtracking.
+arrays.  Sum-product messages are rescaled to a max entry of one with the
+removed scale kept in a log term, so long chains cannot underflow while
+:attr:`Message.linear` recovers the worked numbers.  Max-sum messages hold
+log values plus argmax tables for backtracking.
 Each connected component is a tree of its own, and the log partition
 function of a forest is the sum over them.  :func:`conditioned_sum_product`,
 :func:`marginal` and :func:`max_sum_map` accept forests, such as a tree split
@@ -14,11 +14,10 @@ Every query walks one rooted order, each component's breadth-first (node,
 parent) pairs: :func:`marginal`, :func:`max_sum_map` and :func:`factor_joint`
 send only the messages toward their root, and :func:`sum_product` sends those
 and then the messages away from it, never one toward a leaf factor node.
-Within a pass a message is a bare (payload, log scale) pair: its inputs are
-broadcast along the factor's axes, max-sum moves the target axis first by a
-transpose, reductions call the ufuncs directly, and a max-sum query enters
-NumPy's divide-by-zero error state once, not once per table.  Only
-:func:`sum_product` turns the pairs into :class:`Message` objects.
+Every pass keeps its :class:`Message` pairs in one dict keyed by edge.  A
+message's inputs are broadcast along the factor's axes, max-sum moves the
+target axis first by a transpose, reductions call the ufuncs directly, and a
+max-sum query enters NumPy's divide-by-zero error state once, not once per table.
 """
 
 from __future__ import annotations
@@ -91,26 +90,24 @@ class FactorGraph:
         return self.factors[fname].var_names
 
 
-@dataclass(frozen=True)
-class Message:
-    """One directed message along a factor-graph edge.
+class Message(NamedTuple):
+    """One directed message along a factor-graph edge, stored under its (from, to) pair.
 
-    ``payload`` is a vector over the edge variable's states.  For the
-    ``"linear"`` domain the true message is ``payload * exp(log_scale)``;
-    for ``"log"`` the payload holds log values and ``log_scale`` is unused.
+    ``payload`` is a vector over the edge variable's states.  A sum-product
+    message is ``payload * exp(log_scale)``, its payload rescaled to a max
+    entry of one; a max-sum payload holds log values and ``log_scale`` is 0.
     """
 
-    from_node: str
-    to_node: str
     payload: np.ndarray
-    domain: str = "linear"
-    log_scale: float = 0.0
+    log_scale: float
 
     @property
     def linear(self) -> np.ndarray:
-        if self.domain != "linear":
-            raise ValidationError("message is not in the linear domain")
-        return self.payload * math.exp(self.log_scale)
+        """Sum-product only: the payload with its scale put back.  Max-sum payloads are logs."""
+        try:
+            return self.payload * math.exp(self.log_scale)
+        except OverflowError:
+            raise NumericError(f"message overflows a float: its log scale is {self.log_scale}") from None
 
 
 @dataclass(frozen=True)
@@ -173,17 +170,9 @@ def schedule(fg: FactorGraph) -> Schedule:
     return Schedule(tuple(tuple(sorted(g)) for g in groups))
 
 
-class _Sent(NamedTuple):
-    """A message within a pass: the payload and log scale of a :class:`Message`."""
-
-    payload: np.ndarray
-    log_scale: float
-
-
 class _SumProduct:
-    """Linear domain: products summed out, messages rescaled to a max of one."""
+    """Products summed out, messages rescaled to a max of one."""
 
-    domain = "linear"
     combine = np.multiply
     table = staticmethod(DiscreteFactor.ndarray)
 
@@ -198,15 +187,14 @@ class _SumProduct:
         peak = float(np.maximum.reduce(payload))
         if peak <= 0.0:
             raise NumericError(f"message {u}->{v} is identically zero")
-        return _Sent(payload / peak, scale + math.log(peak))
+        return Message(payload / peak, scale + math.log(peak))
 
 
 class _MaxSum:
-    """Log domain: sums maximised out.  ``argmax[(f, v)]`` gives, per state of v, the
+    """Log values: sums maximised out.  ``argmax[(f, v)]`` gives, per state of v, the
     flat C-order index of the best joint state of f's other variables (ties to the lowest).
     Tables of zeros take logs of zero, so a query enters ``np.errstate(divide="ignore")``."""
 
-    domain = "log"
     combine = np.add
 
     def __init__(self):
@@ -224,7 +212,7 @@ class _MaxSum:
 
     @staticmethod
     def message(u, v, payload, scale):
-        return _Sent(payload, scale)
+        return Message(payload, scale)
 
 
 def _combined(fg: FactorGraph, node: str, skip: str | None, incoming: Messages,
@@ -250,7 +238,7 @@ def _combined(fg: FactorGraph, node: str, skip: str | None, incoming: Messages,
     return nd, scale
 
 
-def _send(fg: FactorGraph, u: str, v: str, incoming, semiring) -> _Sent:
+def _send(fg: FactorGraph, u: str, v: str, incoming: Messages, semiring) -> Message:
     """The message u->v, from the messages into u."""
     nd, scale = _combined(fg, u, v, incoming, semiring)
     if u in fg.factors:
@@ -258,30 +246,12 @@ def _send(fg: FactorGraph, u: str, v: str, incoming, semiring) -> _Sent:
     return semiring.message(u, v, nd, scale)
 
 
-def _factor_to_var(fg: FactorGraph, fname: str, var: str, incoming: Messages,
-                   semiring=_SumProduct) -> Message:
-    payload, scale = _send(fg, fname, var, incoming, semiring)
-    return Message(fname, var, payload, semiring.domain, scale)
-
-
-def _var_to_factor(fg: FactorGraph, var: str, fname: str, incoming: Messages,
-                   semiring=_SumProduct) -> Message:
-    payload, scale = _send(fg, var, fname, incoming, semiring)
-    return Message(var, fname, payload, semiring.domain, scale)
-
-
-def _sweep(fg: FactorGraph, edges: Sequence[Edge], semiring) -> dict[Edge, _Sent]:
+def _sweep(fg: FactorGraph, edges: Sequence[Edge], semiring) -> dict[Edge, Message]:
     """Compute each edge's message in turn; its inputs must come earlier."""
-    sent: dict[Edge, _Sent] = {}
+    sent: dict[Edge, Message] = {}
     for u, v in edges:
         sent[(u, v)] = _send(fg, u, v, sent, semiring)
     return sent
-
-
-def _pass(fg: FactorGraph, edges: Sequence[Edge], semiring) -> dict[Edge, Message]:
-    """:func:`_sweep` with each message as a :class:`Message`."""
-    return {(u, v): Message(u, v, payload, semiring.domain, scale)
-            for (u, v), (payload, scale) in _sweep(fg, edges, semiring).items()}
 
 
 def _inward(order: Sequence[tuple[str, str | None]]) -> list[Edge]:
@@ -329,7 +299,7 @@ def sum_product(fg: FactorGraph) -> SumProductResult:
 
 
 def _sum_product(fg: FactorGraph, components: list) -> SumProductResult:
-    messages = _pass(fg, _all_edges(fg, components), _SumProduct)
+    messages = _sweep(fg, _all_edges(fg, components), _SumProduct)
     marginals: dict[str, np.ndarray] = {}
     for var in fg.var_names:
         payload, _ = _combined(fg, var, None, messages)
@@ -418,7 +388,7 @@ class MaxSumResult:
 
 
 def max_sum_map(fg: FactorGraph, root: str) -> MaxSumResult:
-    """A most probable assignment via log-domain max-sum with backtracking.
+    """A most probable assignment via max-sum over log values, with backtracking.
 
     ``log_score`` is the log of the unnormalised joint at the returned
     assignment (the partition function is never involved).  Ties always

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import warnings
@@ -907,10 +908,45 @@ def test_process_writes_a_long_output_whole(tmp_path, capsys, table, steps):
      "usage error: argument --samples: invalid int value: '1_0'\n"),
 ])
 def test_process_error_exit_writes_its_message_whole(write_model, argv, code, err):
+    proc = _cli_process(_model_paths(write_model, argv), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+def _model_paths(write_model, argv):
+    """``argv`` with ``@hmm`` and ``@overflow`` replaced by the paths of those models."""
     overflow = {"kalman": {**KALMAN_MODEL["kalman"], "A": [1e200, 1e200], "prior": {"mean": 1e200, "var": 1.0}}}
     paths = {"@hmm": write_model("h.model", HMM_MODEL), "@overflow": write_model("o.model", overflow)}
-    proc = _cli_process([paths.get(a, a) for a in argv], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+    return [paths.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["vi", "klfit", "--variances", "1,4"], 0, ""),
+    (["vi", "klfit", "--variances", "1,x"], 2,
+     "validation error: expected comma-separated numbers, got '1,x'\n"),
+    (["kalman", "filter", "--model", "@overflow", "--obs", "1,2"], 3,
+     "numeric error: filtered state at step 1 has predicted mean inf and variance inf\n"),
+    (["vi", "klfit"], 4, "usage error: the following arguments are required: --variances\n"),
+])
+def test_process_started_with_a_closed_stream_keeps_its_exit_code(write_model, argv, code, err):
+    # A stream closed before the process starts is None in it.  With no standard output a
+    # success exits 1 quietly, as on a closed pipe; an error keeps its own exit code.
+    argv = _model_paths(write_model, argv)
+    command = shlex.join([sys.executable, "-m", "pgmlab.cli", *argv])
+
+    def closing(redirect):
+        return subprocess.run(["sh", "-c", f"{command} {redirect}"], env=_cli_env(), timeout=120,
+                              capture_output=True, text=True)
+
+    no_out = closing(">&-")
+    assert (no_out.returncode, no_out.stdout, no_out.stderr) == (code or cli.EXIT_BROKEN_PIPE, "", err)
+    no_err = closing("2>&-")
+    assert (no_err.returncode, no_err.stderr) == (code, "")
+    if code:
+        assert no_err.stdout == ""
+    else:
+        envelope, expected = json.loads(no_err.stdout), cli.run(argv)
+        del envelope["elapsed_seconds"], expected["elapsed_seconds"]
+        assert envelope == expected
 
 
 def test_process_closes_its_trace_files(tmp_path):

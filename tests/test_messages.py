@@ -12,6 +12,13 @@ from pgmlab.factors import DiscreteFactor, condition, eliminate, normalise, sum_
 from pgmlab.graphs import Dag
 from pgmlab.messages import (
     FactorGraph,
+    Message,
+    _all_edges,
+    _forest,
+    _inward,
+    _send,
+    _sweep,
+    _SumProduct,
     condition_factor_graph,
     conditioned_sum_product,
     dag_to_factor_graph,
@@ -83,17 +90,11 @@ class TestScheduling:
     def test_group_internal_order_is_irrelevant(self, tree_fg):
         # Messages inside one clock cycle share no dependencies, so any
         # evaluation order (serial or parallel) gives identical payloads.
-        from pgmlab.messages import _factor_to_var, _var_to_factor
-
         def run(reverse: bool):
             messages = {}
             for group in schedule(tree_fg).groups:
-                ordered = reversed(group) if reverse else group
-                for u, v in ordered:
-                    if u in tree_fg.factors:
-                        messages[(u, v)] = _factor_to_var(tree_fg, u, v, messages)
-                    else:
-                        messages[(u, v)] = _var_to_factor(tree_fg, u, v, messages)
+                for u, v in reversed(group) if reverse else group:
+                    messages[(u, v)] = _send(tree_fg, u, v, messages, _SumProduct)
             return messages
 
         forward, backward = run(False), run(True)
@@ -146,6 +147,26 @@ class TestSumProduct:
             norm, _ = normalise(kept)
             assert_allclose(res.marginals[var], norm.values, rtol=1e-9)
 
+    def test_a_message_is_a_payload_and_a_log_scale(self, tree_fg):
+        msg = sum_product(tree_fg).message("phiD", "x3")
+        assert type(msg) is Message and Message._fields == ("payload", "log_scale")
+        payload, log_scale = msg
+        assert_allclose(payload * math.exp(log_scale), [10, 8], rtol=1e-9)
+
+    def test_linear_beyond_a_float_is_a_numeric_error(self):
+        # Each [10, 20, 30, 40] link multiplies the mass by about 54, so the
+        # scale of the last message, e^1589.8, is beyond the largest float.
+        names = [f"v{i}" for i in range(400)]
+        links = {f"f{i}": DiscreteFactor([(a, 2), (b, 2)], [10, 20, 30, 40])
+                 for i, (a, b) in enumerate(zip(names, names[1:]))}
+        res = sum_product(FactorGraph([(v, 2) for v in names], links))
+        msg = res.message("f398", "v399")
+        assert math.isclose(msg.log_scale, 1589.8007311709218, rel_tol=1e-12)
+        with pytest.raises(NumericError, match=re.escape(f"its log scale is {msg.log_scale}")):
+            msg.linear
+        assert np.isfinite(res.log_partition) and np.all(np.isfinite(res.marginals["v399"]))
+        assert_allclose(res.message("f0", "v1").linear, [30, 70])
+
     def test_leaf_variable_messages_are_ones(self, tree_fg):
         res = sum_product(tree_fg)
         assert_allclose(res.message("x4", "phiD").linear, [1, 1])
@@ -163,6 +184,38 @@ class TestSumProduct:
         res = sum_product(fg)
         assert_allclose(res.message("e2", "h2").linear, [1, 1], rtol=1e-12)
         assert_allclose(res.message("v2", "e2").linear, [1, 1], rtol=1e-12)
+
+
+class _CountingProduct:
+    """np.multiply that counts its calls; ``identity`` is kept for a variable with no input."""
+
+    identity = np.multiply.identity
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return np.multiply(a, b)
+
+
+@pytest.mark.parametrize("degree", [10, 20, 40, 80])
+def test_star_combines_quadratically_in_a_full_pass_and_linearly_inward(degree):
+    # A centre variable c and `degree` pairwise factors, each to a leaf variable.  The full
+    # pass sends c->f_k from the other degree - 1 inputs (degree - 2 combines each), and
+    # each factor combines its table once on the way in and once on the way out.
+    fg = FactorGraph([("c", 2), *((f"l{k}", 2) for k in range(degree))],
+                     {f"f{k}": DiscreteFactor([("c", 2), (f"l{k}", 2)], [1, 2, 3, 4]) for k in range(degree)})
+
+    def combines(edges):
+        class Counting(_SumProduct):
+            combine = _CountingProduct()
+
+        _sweep(fg, edges, Counting)
+        return Counting.combine.calls
+
+    assert combines(_all_edges(fg, _forest(fg))) == degree ** 2
+    assert combines(_inward(_forest(fg, "c")[0])) == degree
 
 
 class TestConditioning:
