@@ -44,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    # argparse writes help to standard error when standard output is closed;
+    # help, like an envelope, then exits quietly as on a closed pipe.
+    def print_help(self, file=None):
+        if file is None and sys.stdout is None:
+            self.exit(EXIT_BROKEN_PIPE)
+        super().print_help(file)
+
 
 def _long_way(text: str) -> bool:
     """Whether ``.12g`` text holds a float that :func:`_float_text` writes the long way."""

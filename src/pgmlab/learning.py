@@ -31,7 +31,7 @@ if TYPE_CHECKING:
     from .sequential import Gaussian1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryDataset:
     """Rectangular 0/1 data with named columns, one row per observation."""
 
@@ -273,25 +273,15 @@ def _as_points(data) -> np.ndarray:
 def _score_stats(stat_gradients: Callable, stat_curvatures: Callable, data) -> tuple[np.ndarray, np.ndarray]:
     """The score-matching statistics (r, M): r averages each statistic's
     summed curvatures over the points, M averages the gradient Gram matrix.
-
-    When both callables carry a ``batch`` form (points -> n x K x m arrays)
-    it is called once on all points; otherwise each callable is called per
-    point and must return a K x m array.
-    """
+    Each callable is called once on the n x m array of all points."""
     points = _as_points(data)
     n = points.shape[0]
     if n == 0:
         raise ValidationError("empty data")
-    batch_grad = getattr(stat_gradients, "batch", None)
-    batch_curv = getattr(stat_curvatures, "batch", None)
-    if batch_grad is not None and batch_curv is not None:
-        k = np.asarray(batch_grad(points), dtype=float)
-        h = np.asarray(batch_curv(points), dtype=float)
-    else:
-        k = np.stack([np.atleast_2d(np.asarray(stat_gradients(x), dtype=float)) for x in points])
-        h = np.stack([np.atleast_2d(np.asarray(stat_curvatures(x), dtype=float)) for x in points])
-    if k.ndim != 3 or k.shape != h.shape:
-        raise ValidationError("gradient and curvature arrays must have equal shape")
+    k = np.asarray(stat_gradients(points), dtype=float)
+    h = np.asarray(stat_curvatures(points), dtype=float)
+    if k.ndim != 3 or k.shape != h.shape or k.shape[0] != n:
+        raise ValidationError(f"gradient and curvature arrays must have equal shape (n, K, m) with n = {n} points")
     r = h.sum(axis=(0, 2)) / n
     flat = k.transpose(1, 0, 2).reshape(k.shape[1], -1)
     return r, flat @ flat.T / n
@@ -304,13 +294,12 @@ def score_matching_fit(
 ) -> np.ndarray:
     """Fit a log-linear model without its partition function.
 
-    ``stat_gradients(x)`` and ``stat_curvatures(x)`` return K x m arrays of
-    first and second coordinate-wise derivatives of the K sufficient
-    statistics at one point.  The objective is the quadratic form
+    ``stat_gradients(points)`` and ``stat_curvatures(points)`` take the
+    n x m array of all points and return n x K x m arrays: the first and
+    second coordinate-wise derivatives of the K sufficient statistics at
+    each point.  The objective is the quadratic form
     theta.r + theta.M theta / 2 with r the averaged summed curvatures and
     M the averaged gradient Gram matrix; the minimiser solves M theta = -r.
-    When both callables carry a ``batch`` attribute mapping an n x m array
-    of points to n x K x m arrays, it replaces the per-point calls.
     """
     r, m = _score_stats(stat_gradients, stat_curvatures, data)
     if not np.all(np.isfinite(m)) or np.linalg.matrix_rank(m) < m.shape[0]:
@@ -324,20 +313,18 @@ def score_matching_objective(
     data: np.ndarray,
     theta: np.ndarray,
 ) -> float:
-    """Evaluate the quadratic score-matching objective at ``theta``."""
+    """Evaluate the quadratic score-matching objective at ``theta``; the
+    statistic callables are those of :func:`score_matching_fit`."""
     r, m = _score_stats(stat_gradients, stat_curvatures, data)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return float(theta @ r + 0.5 * theta @ m @ theta)
 
 
 def gaussian_quadratic_stats() -> tuple[Callable, Callable]:
-    """Gradient/curvature evaluators for the single statistic F(x) = x^2.
-
-    Each also carries a ``batch`` form over an n x m array of points."""
-    grad = lambda x: np.array([[2.0 * float(np.atleast_1d(x)[0])]])
-    curv = lambda x: np.array([[2.0]])
-    grad.batch = lambda points: 2.0 * points[:, :1, None]
-    curv.batch = lambda points: np.full((points.shape[0], 1, 1), 2.0)
+    """Gradient/curvature evaluators for the single statistic F(x) = x^2 of
+    the first coordinate, over an n x m array of points."""
+    grad = lambda points: 2.0 * points[:, :1, None]
+    curv = lambda points: np.full((points.shape[0], 1, 1), 2.0)
     return grad, curv
 
 

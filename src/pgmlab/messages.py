@@ -275,7 +275,7 @@ def _normaliser(payload: np.ndarray, where: str) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SumProductResult:
     marginals: dict[str, np.ndarray]
     log_partition: float
@@ -427,22 +427,21 @@ def dag_to_factor_graph(dag: Dag, cpts: Mapping[str, DiscreteFactor]) -> FactorG
     """Turn a DAG plus one CPT per node into a factor graph.
 
     Each CPT must have scope {node} union parents and sum to one over the
-    node for every parent configuration (tolerance 1e-9).  Factor node ids
-    are ``"p(<node>)"`` or ``"p(<node>|<parents>)"``.
+    node for every parent configuration (tolerance 1e-9).  A node's
+    cardinality is the one its own CPT gives it; the factor graph refuses a
+    CPT that gives a parent another.  Factor node ids are ``"p(<node>)"``
+    or ``"p(<node>|<parents>)"``.
     """
     missing = set(dag.nodes) - set(cpts)
     if missing:
         raise ValidationError(f"missing CPTs for {sorted(missing)}")
-    cards: dict[str, int] = {}
     for node, f in cpts.items():
         expected = {node, *dag.parents_of(node)}
         if set(f.var_names) != expected:
             raise ValidationError(
                 f"CPT for {node!r} has scope {f.var_names}, expected {sorted(expected)}")
-        for vname, card in f.scope:
-            if cards.setdefault(vname, card) != card:
-                raise ValidationError(f"cardinality mismatch for {vname!r} across CPTs")
     factors: dict[str, DiscreteFactor] = {}
+    variables = []
     for node in dag.nodes:
         f = cpts[node]
         axis = f.var_names.index(node)
@@ -452,5 +451,5 @@ def dag_to_factor_graph(dag: Dag, cpts: Mapping[str, DiscreteFactor]) -> FactorG
         parents = dag.parents_of(node)
         fname = f"p({node}|{','.join(parents)})" if parents else f"p({node})"
         factors[fname] = f
-    variables = [(n, cards[n]) for n in dag.nodes]
+        variables.append((node, f.cards[axis]))
     return FactorGraph(variables, factors)

@@ -281,7 +281,7 @@ def self_normalised_importance(
 # -- Metropolis-Hastings -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """Post-warmup MCMC output plus bookkeeping.
 
@@ -407,7 +407,7 @@ POISSON_DEMO_DATA = (
 # -- restricted Boltzmann machine ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RbmModel:
     """Binary RBM with weights W (visibles x hiddens) and biases a, b."""
 

@@ -48,7 +48,7 @@ def _once_each(fn, matrices) -> tuple[np.ndarray, ...]:
     return tuple(done[id(m)] for m in matrices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteHmm:
     """Hidden Markov model with per-step transition and emission matrices."""
 

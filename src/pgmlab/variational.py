@@ -18,7 +18,7 @@ from .errors import ConvergenceError, ValidationError
 from .numerics import check_symmetric, count, finite_array, float_array, positive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianTarget:
     """Quadratic log density log p(y) = -y.Lambda y / 2 + eta.y + const."""
 
@@ -40,7 +40,7 @@ class GaussianTarget:
         return self.linear.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanFieldState:
     """Factorised Gaussian: one mean and one positive variance per dimension."""
 

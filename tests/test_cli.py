@@ -926,10 +926,14 @@ def _model_paths(write_model, argv):
     (["kalman", "filter", "--model", "@overflow", "--obs", "1,2"], 3,
      "numeric error: filtered state at step 1 has predicted mean inf and variance inf\n"),
     (["vi", "klfit"], 4, "usage error: the following arguments are required: --variances\n"),
+    (["--help"], 0, ""),
+    (["hmm", "--help"], 0, ""),
+    (["hmm", "filter", "-h"], 0, ""),
 ])
 def test_process_started_with_a_closed_stream_keeps_its_exit_code(write_model, argv, code, err):
     # A stream closed before the process starts is None in it.  With no standard output a
-    # success exits 1 quietly, as on a closed pipe; an error keeps its own exit code.
+    # success, help included, exits 1 quietly, as on a closed pipe; an error keeps its own
+    # exit code.
     argv = _model_paths(write_model, argv)
     command = shlex.join([sys.executable, "-m", "pgmlab.cli", *argv])
 
@@ -943,6 +947,8 @@ def test_process_started_with_a_closed_stream_keeps_its_exit_code(write_model, a
     assert (no_err.returncode, no_err.stderr) == (code, "")
     if code:
         assert no_err.stdout == ""
+    elif "--help" in argv or "-h" in argv:
+        assert no_err.stdout == closing("").stdout != ""
     else:
         envelope, expected = json.loads(no_err.stdout), cli.run(argv)
         del envelope["elapsed_seconds"], expected["elapsed_seconds"]
@@ -1252,3 +1258,78 @@ def test_a_data_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     assert cli.main(_resolve(argv, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and str(tmp_path / "data.csv") in err
+
+
+_FG_AB = {"variables": [{"name": "a", "card": 2}, {"name": "b", "card": 2}],
+          "factors": [{"name": "f", "scope": ["a", "b"], "values": [1, 2, 3, 4]}]}
+_HMM2 = {**HMM_MODEL["hmm"], "transitions": [[0.9, 0.1], [0.2, 0.8]]}
+_KALMAN = KALMAN_MODEL["kalman"]
+_USEP = ["graph", "usep", "--x", "a", "--y", "b"]
+_HMM_FILTER = ["hmm", "filter", "--obs", "0"]
+_KALMAN_FILTER = ["kalman", "filter", "--obs", "1,2"]
+
+# Refusals that each exit 2 with one line: id -> (model document or None, argv without
+# --model, stderr).  A model document is written to a file and passed as --model.
+REFUSALS = {
+    "dag duplicate nodes": ({"dag": {"nodes": ["a", "a"]}}, ["graph", "moralize"], "duplicate node names"),
+    "dag unknown child": ({"dag": {"nodes": ["a"], "parents": {"b": ["a"]}}}, ["graph", "moralize"],
+                          "unknown node 'b' in parent map"),
+    "dag duplicate parents": ({"dag": {"nodes": ["a", "b"], "parents": {"b": ["a", "a"]}}}, ["graph", "moralize"],
+                              "duplicate parents for 'b'"),
+    "dag unknown parent": ({"dag": {"nodes": ["a", "b"], "parents": {"b": ["c"]}}}, ["graph", "moralize"],
+                           "unknown parent 'c' of 'b'"),
+    "ugm duplicate nodes": ({"ugm": {"nodes": ["a", "a"]}}, _USEP, "duplicate node names"),
+    "ugm unknown edge end": ({"ugm": {"nodes": ["a", "b"], "edges": [["a", "c"]]}}, _USEP,
+                             "edge ('a', 'c') references unknown node"),
+    "mb dag and ugm": ({"dag": {"nodes": ["a"]}, "ugm": {"nodes": ["a"]}}, ["graph", "mb", "--node", "a"],
+                       "exactly one of 'dag' or 'ugm' must be present"),
+    "hmm prior sum": ({"hmm": {**_HMM2, "prior": [0.5, 0.6]}}, _HMM_FILTER, "prior must sum to 1"),
+    "hmm non-square transition": ({"hmm": {**_HMM2, "transitions": [[0.5, 0.5]]}}, _HMM_FILTER,
+                                  "transition matrices must be square over the state count"),
+    "hmm emission rows": ({"hmm": {**_HMM2, "emissions": [[0.5, 0.5]]}}, _HMM_FILTER,
+                          "emission rows must match the state count"),
+    "hmm step counts": ({"hmm": {"prior": [0.5, 0.5], "transitions": [_HMM2["transitions"]] * 2,
+                                 "emissions": [_HMM2["emissions"]] * 2}}, _HMM_FILTER,
+                        "need one emission matrix per step and one transition per gap"),
+    "hmm vector transitions": ({"hmm": {**_HMM2, "transitions": [0.5, 0.5]}}, _HMM_FILTER,
+                               "hmm: transitions and emissions must be matrices or lists of matrices"),
+    "fg duplicate variables": ({**_FG_AB, "variables": [{"name": "a", "card": 2}] * 2}, ["fg", "map"],
+                               "duplicate variable names"),
+    "fg factor named like a variable": ({**_FG_AB, "factors": [{"name": "a", "scope": ["a"], "values": [1, 2]}]},
+                                        ["fg", "map"], "duplicate node id 'a'"),
+    "fg variables not a list": ({**_FG_AB, "variables": {"a": 2}}, ["fg", "map"], "'variables' must be a list"),
+    "fg document not an object": ([_FG_AB], ["fg", "map"], "model document must be a JSON object"),
+    "fg evidence without state": (_FG_AB, ["fg", "map", "--evidence", "b"],
+                                  "evidence item 'b' must look like var=state"),
+    "fg map unknown root": (_FG_AB, ["fg", "map", "--root", "zz"], "root 'zz' is not a variable"),
+    "fg no factors": ({"variables": _FG_AB["variables"]}, ["fg", "map"],
+                      "document has an empty or missing 'factors' section"),
+    "data duplicate columns": ({"dag": {"nodes": ["a"]}}, ["fit", "cpt-mle", "--data", "@a,a"],
+                               "duplicate column names"),
+    "kalman unequal lengths": ({"kalman": {**_KALMAN, "A": [1.0]}}, _KALMAN_FILTER,
+                               "coefficient lists must be nonempty and of equal length"),
+    "kalman negative B": ({"kalman": {**_KALMAN, "B": [0.0, -0.3]}}, _KALMAN_FILTER,
+                          "B and D must be non-negative (step 2)"),
+    "kalman scalar A": ({"kalman": {**_KALMAN, "A": 1.0}}, _KALMAN_FILTER, "A must be a list of numbers"),
+    "rbm W shape": ({"rbm": {**RBM_MODEL["rbm"], "W": [[0.4, -0.2]]}}, ["sample", "gibbs-rbm", "--seed", "1"],
+                    "W must be (len(a), len(b))"),
+    "meanfield precision shape": ({"meanfield": {**MEANFIELD_MODEL["meanfield"], "linear": [1.0]}},
+                                  ["vi", "meanfield"], "precision must be square over the dimension of linear"),
+    "mh poisson without data": (None, ["sample", "mh", "--target", "poisson", "--seed", "1"],
+                                "--data is required for the poisson target"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_exits_2_with_its_message(write_model, tmp_path, capsys, case):
+    doc, argv, message = REFUSALS[case]
+    argv = list(argv)
+    if "--data" in argv:  # "@<header>": a CSV with that header and one row of zeros
+        i = argv.index("--data") + 1
+        header = argv[i][1:]
+        (tmp_path / "data.csv").write_text(f"{header}\n{','.join('0' for _ in header.split(','))}\n")
+        argv[i] = str(tmp_path / "data.csv")
+    if doc is not None:
+        argv[2:2] = ["--model", write_model("m.model", doc)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"validation error: {message}\n")

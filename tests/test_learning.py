@@ -234,22 +234,28 @@ class TestScoreMatching:
         assert np.linalg.eigvalsh(m).min() >= -1e-12
 
     def test_whole_array_and_per_point_paths_agree(self):
+        # The reference: the statistic's K x m gradient and curvature at one
+        # point at a time, summed over the points in a loop.
         grad, curv = gaussian_quadratic_stats()
-        per_point = (lambda x: grad(x)), (lambda x: curv(x))  # no batch form
+        grad_at, curv_at = (lambda x: np.array([[2.0 * x[0]]])), (lambda x: np.array([[2.0]]))
         rng = np.random.default_rng(8)
         for data in (rng.normal(0, 1.3, size=500), rng.normal(size=(40, 3))):
+            points = data.reshape(len(data), -1)
+            r = sum(curv_at(x).sum(axis=1) for x in points) / len(points)
+            m = sum(grad_at(x) @ grad_at(x).T for x in points) / len(points)
             theta = score_matching_fit(grad, curv, data)
-            assert_allclose(score_matching_fit(*per_point, data), theta, rtol=1e-12)
+            assert_allclose(theta, np.linalg.solve(m, -r), rtol=1e-12)
             for probe in (theta, np.array([-0.7]), np.array([0.4])):
                 assert math.isclose(score_matching_objective(grad, curv, data, probe),
-                                    score_matching_objective(*per_point, data, probe), rel_tol=1e-12)
+                                    float(probe @ r + 0.5 * probe @ m @ probe), rel_tol=1e-12)
 
     def test_objective_is_mean_of_per_point_terms(self):
-        grads = lambda x: np.array([[2 * x[0]], [3 * x[0] ** 2]])
-        curvs = lambda x: np.array([[2.0], [6 * x[0]]])
+        grads = lambda p: np.stack([2 * p[:, :1], 3 * p[:, :1] ** 2], axis=1)
+        curvs = lambda p: np.stack([np.full((len(p), 1), 2.0), 6 * p[:, :1]], axis=1)
         rng = np.random.default_rng(9)
         data, theta = rng.normal(size=(25, 1)), np.array([-0.6, 0.2])
-        expected = np.mean([np.sum(theta @ curvs(x) + 0.5 * (theta @ grads(x)) ** 2) for x in data])
+        expected = np.mean([theta @ [2.0, 6 * x[0]] + 0.5 * (theta @ [2 * x[0], 3 * x[0] ** 2]) ** 2
+                            for x in data])
         assert math.isclose(score_matching_objective(grads, curvs, data, theta), expected, rel_tol=1e-12)
         grad, curv = gaussian_quadratic_stats()
         data, t = rng.normal(size=30), -0.3
@@ -257,19 +263,35 @@ class TestScoreMatching:
         assert math.isclose(score_matching_objective(grad, curv, data, np.array([t])), expected,
                             rel_tol=1e-12)
 
-    def test_whole_array_shape_mismatch_rejected(self):
-        grad = lambda x: np.array([[2 * x[0]]])
-        curv = lambda x: np.array([[2.0]])
-        grad.batch = lambda points: 2.0 * points[:, :1, None]
-        curv.batch = lambda points: np.full((points.shape[0], 2, 1), 2.0)
+    @pytest.mark.parametrize("grad, curv", [
+        (lambda p: 2.0 * p[:, :1, None], lambda p: np.full((len(p), 2, 1), 2.0)),
+        (lambda p: 2.0 * p[:, 0], lambda p: np.full(len(p), 2.0)),
+        (lambda p: 2.0 * p[:1, :1, None], lambda p: np.full((1, 1, 1), 2.0)),
+    ], ids=["K differs", "not n x K x m", "one row for two points"])
+    def test_whole_array_shape_mismatch_rejected(self, grad, curv):
         with pytest.raises(ValidationError, match="equal shape"):
             score_matching_fit(grad, curv, np.array([1.0, 2.0]))
         with pytest.raises(ValidationError, match="equal shape"):
             score_matching_objective(grad, curv, np.array([1.0, 2.0]), np.array([0.5]))
 
+    def test_each_statistic_is_called_once_on_all_points(self):
+        grad, curv = gaussian_quadratic_stats()
+        calls = []
+
+        def counted(f, tag):
+            def call(points):
+                calls.append((tag, points.shape))
+                return f(points)
+            return call
+
+        data = np.array([1.0, -1.0, 2.0])
+        theta = score_matching_fit(counted(grad, "grad"), counted(curv, "curv"), data)
+        assert sorted(calls) == [("curv", (3, 1)), ("grad", (3, 1))]
+        assert theta[0] == -0.25
+
     def test_constant_statistic_is_singular(self):
-        grads = lambda x: np.array([[2 * x[0]], [0.0]])
-        curvs = lambda x: np.array([[2.0], [0.0]])
+        grads = lambda p: np.stack([2 * p[:, :1], np.zeros((len(p), 1))], axis=1)
+        curvs = lambda p: np.stack([np.full((len(p), 1), 2.0), np.zeros((len(p), 1))], axis=1)
         with pytest.raises(SingularMatrixError):
             score_matching_fit(grads, curvs, np.array([1.0, 2.0]))
 

@@ -449,6 +449,17 @@ class TestDagConversion:
         with pytest.raises(ValidationError):
             dag_to_factor_graph(dag, cpts)
 
+    @pytest.mark.parametrize("b_first", [False, True])
+    def test_rejects_parent_cardinality_mismatch(self, b_first):
+        # a's own CPT gives it 2 states; the CPT of b gives it 3, in either CPT order.
+        dag = Dag.from_edges(["a", "b"], [("a", "b")])
+        cpts = {"a": DiscreteFactor([("a", 2)], [0.5, 0.5]),
+                "b": DiscreteFactor([("b", 2), ("a", 3)], [0.5] * 6)}
+        if b_first:
+            cpts = dict(reversed(cpts.items()))
+        with pytest.raises(ValidationError, match=r"^cardinality mismatch for 'a' in factor 'p\(b\|a\)'$"):
+            dag_to_factor_graph(dag, cpts)
+
 
 def _cpt_given(scope, values, child):
     """Normalise the raw table over the child axis so it is a proper CPT."""

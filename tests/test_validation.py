@@ -14,7 +14,8 @@ from pgmlab import learning, numerics, samplers, sequential, variational
 from pgmlab.errors import NumericError, ValidationError
 from pgmlab.factors import DiscreteFactor, product, sum_marginalise
 from pgmlab.graphs import Dag
-from pgmlab.messages import FactorGraph
+from pgmlab.messages import FactorGraph, sum_product
+from pgmlab.modelio import parse_model_dict
 from pgmlab.samplers import SeededRng
 
 SPD = [[2.0, 0.5], [0.5, 1.0]]
@@ -355,3 +356,32 @@ def test_step_or_coordinate_keeps_its_range_message(site):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call(3)
     call(np.int64(1) if site == "mf_update i" else np.int64(2))
+
+
+# Each builds a new instance that holds arrays; two builds are equal in value.
+HOLDERS_OF_ARRAYS = {
+    "DiscreteHmm": lambda: sequential.DiscreteHmm.homogeneous([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]],
+                                                              [[0.7, 0.3], [0.1, 0.9]], 2),
+    "RbmModel": lambda: samplers.RbmModel([[0.4, -0.2]], [0.0], [-0.1, 0.2]),
+    "GaussianTarget": lambda: variational.GaussianTarget(SPD, [1.0, 0.0]),
+    "MeanFieldState": lambda: variational.MeanFieldState([0.0, 0.0], [1.0, 1.0]),
+    "BinaryDataset": lambda: learning.BinaryDataset(["a"], [[0], [1], [1]]),
+    "Trace": lambda: samplers.Trace(np.zeros((3, 2)), 1, 2, 4, 7),
+    "SumProductResult": lambda: sum_product(FactorGraph([("a", 2)], {"f": DiscreteFactor([("a", 2)], [1, 2])})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLDERS_OF_ARRAYS))
+def test_instance_holding_arrays_compares_by_identity(name):
+    # A generated __eq__ compared the array fields and raised "truth value ... is ambiguous".
+    a, copy = HOLDERS_OF_ARRAYS[name](), HOLDERS_OF_ARRAYS[name]()
+    assert a == a
+    assert (a == copy) is False
+    assert hash(a) == hash(a)
+
+
+def test_model_documents_holding_an_hmm_compare_without_raising():
+    hmm = {"prior": [0.5, 0.5], "transitions": [[0.9, 0.1], [0.2, 0.8]], "emissions": [[0.7, 0.3], [0.1, 0.9]], "steps": 2}
+    a, copy = (parse_model_dict({"hmm": hmm}) for _ in range(2))
+    assert a == a
+    assert (a == copy) is False
