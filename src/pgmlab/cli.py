@@ -44,12 +44,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
-    # argparse writes help to standard error when standard output is closed;
-    # help, like an envelope, then exits quietly as on a closed pipe.
+    # argparse writes help to standard error when standard output is closed, and
+    # drops the error of a closed pipe; help, like an envelope, then exits quietly.
     def print_help(self, file=None):
-        if file is None and sys.stdout is None:
+        file = file or sys.stdout
+        if file is None:  # the process started with it closed
             self.exit(EXIT_BROKEN_PIPE)
-        super().print_help(file)
+        text = self.format_help()
+        try:
+            file.write(text)
+            file.flush()
+        except BrokenPipeError:
+            self.exit(EXIT_BROKEN_PIPE)
 
 
 def _long_way(text: str) -> bool:
@@ -634,13 +640,17 @@ def main(argv=None) -> int:
 def console_main() -> NoReturn:
     """Entry point of the ``pgmlab`` script and ``python -m pgmlab.cli``.
 
-    Runs :func:`main`, flushes both output streams and ends the process
-    through ``os._exit``, skipping interpreter teardown.  If the reader
+    Runs :func:`main`, whose ``--help`` ends in ``SystemExit``, flushes both
+    output streams and ends the process through ``os._exit`` with its exit
+    code, skipping interpreter teardown.  If the reader
     closed standard output, its unsent bytes are dropped.  Every file a
     command writes is closed before :func:`main` returns, and atexit
     handlers do not run.  In-process callers of :func:`main` never reach it.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # --help
+        code = exc.code
     for stream in (sys.stdout, sys.stderr):
         try:
             if stream is not None:  # None if the process started with it closed

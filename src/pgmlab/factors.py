@@ -50,14 +50,20 @@ def _validate_scope(scope: Iterable[tuple[str, int]]) -> Scope:
 
 @dataclass(frozen=True)
 class DiscreteFactor:
-    """Non-negative table over an ordered scope: names in ``var_names``, cardinalities in ``cards``."""
+    """Non-negative table over an ordered scope: names in ``var_names``, cardinalities in ``cards``.
+
+    ``values`` is one flat list, first variable fastest; :meth:`from_ndarray` takes an
+    array with one axis per scope variable."""
 
     scope: Scope
     values: np.ndarray
 
     def __init__(self, scope: Iterable[tuple[str, int]], values):
         scope = _validate_scope(scope)
-        arr = float_array(values, "factor values", copy=True).reshape(-1)  # the caller keeps theirs
+        arr = float_array(values, "factor values", copy=True)  # the caller keeps theirs
+        # A table of more axes would be read in C order, not first variable fastest.
+        if arr.ndim != 1:
+            raise ValidationError(f"factor values must be one flat list, got an array of shape {arr.shape}")
         size = math.prod(c for _, c in scope)
         # Only a refused table works out which rule it breaks.
         if not (arr.size == size and _in_range(arr)):

@@ -3,7 +3,9 @@
 Both run on one iterative engine parameterised by the semiring, on plain
 arrays.  Sum-product messages are rescaled to a max entry of one with the
 removed scale kept in a log term, so long chains cannot underflow while
-:attr:`Message.linear` recovers the worked numbers.  Max-sum messages hold
+:attr:`Message.linear` recovers the worked numbers.  A product of three or
+more messages at a variable whose peak ends below 2**-500 is taken again in
+logs, so a variable of high degree cannot underflow either.  Max-sum messages hold
 log values plus argmax tables for backtracking.
 Each connected component is a tree of its own, and the log partition
 function of a forest is the sum over them.  :func:`conditioned_sum_product`,
@@ -35,6 +37,9 @@ from .numerics import count
 
 Edge = tuple[str, str]  # (from node id, to node id)
 Messages = Mapping[Edge, "Message"]
+
+# A sum-product product of messages at a variable whose peak ends below this is taken in logs.
+_PEAK_FLOOR = 2.0 ** -500
 
 
 @dataclass(frozen=True)
@@ -219,22 +224,36 @@ def _combined(fg: FactorGraph, node: str, skip: str | None, incoming: Messages,
               semiring=_SumProduct) -> tuple[np.ndarray, float]:
     """A node's own table combined with every message into it but the one from ``skip``,
     each along its variable's axis; plus their summed log scales.  A variable has no table:
-    it starts from its first message, or from the identity if it has none."""
+    it starts from its first message, or from the identity if it has none.  In sum-product,
+    a product of three or more messages at a variable whose peak ends below ``_PEAK_FLOOR`` is
+    taken again as a sum of logs, scaled to a peak of one; a product of two pays no check."""
     fac = fg.factors.get(node)
     nd = None if fac is None else semiring.table(fac)
     scale = 0.0
+    multiplies = 0  # at a variable: messages multiplied into the first one
     for axis, source in enumerate(fg._adjacent[node]):
         if source != skip:
             msg = incoming[(source, node)]
             scale += msg.log_scale
             if nd is None:
                 nd = msg.payload
-            elif fac is None or axis == nd.ndim - 1:
+            elif fac is None:
+                nd = semiring.combine(nd, msg.payload)
+                multiplies += 1
+            elif axis == nd.ndim - 1:
                 nd = semiring.combine(nd, msg.payload)
             else:  # broadcast along the axis: a length-one axis for each later variable
                 nd = semiring.combine(nd, msg.payload.reshape((-1,) + (1,) * (nd.ndim - 1 - axis)))
     if nd is None:
         nd = np.full(fg._cards[node], float(semiring.combine.identity))
+    elif fac is None and multiplies > 1 and semiring is _SumProduct and float(np.maximum.reduce(nd)) < _PEAK_FLOOR:
+        # Messages peak at one, so the product only falls: an entry that went subnormal on the
+        # way can matter only if the peak ended far below the floor, which this catches.
+        with np.errstate(divide="ignore"):
+            logs = sum(np.log(incoming[(source, node)].payload) for source in fg._adjacent[node] if source != skip)
+        top = float(np.maximum.reduce(logs))
+        if top > -math.inf:  # else every entry is zero, for the caller to refuse
+            nd, scale = np.exp(logs - top), scale + top
     return nd, scale
 
 

@@ -195,10 +195,8 @@ def _factors(entries: list, declared: dict[str, int]) -> dict[str, DiscreteFacto
             # entry of another JSON type.
             name, scope_names, table = entry["name"], entry["scope"], entry["values"]
             scope = tuple((v, cards[v]) for v in scope_names)
-            # Nested rows of equal length, read row by row; ragged rows stay lists, which are no numbers.
-            while table and isinstance(table[0], list) and all(
-                    isinstance(row, list) and len(row) == len(table[0]) for row in table):
-                table = [x for row in table for x in row]
+            if table and isinstance(table[0], list):
+                table = _flat_rows(table)
             if (not (isinstance(name, str) and isinstance(scope_names, list) and isinstance(table, list))
                     or name in found or len(set(scope_names)) != len(scope_names)
                     or len(table) != math.prod(card for _, card in scope)):
@@ -214,6 +212,15 @@ def _factors(entries: list, declared: dict[str, int]) -> dict[str, DiscreteFacto
         raise AssertionError("the one-array pass refused a 'factors' section with no fault") from None
     arr.setflags(write=False)
     return {name: DiscreteFactor._trusted(scope, arr[span]) for name, (scope, span) in found.items()}
+
+
+def _flat_rows(table):
+    """``table`` with nested rows of equal length joined, read row by row; ragged rows stay
+    lists, which are no numbers, and a value that is not a list is returned as it is."""
+    while isinstance(table, list) and table and isinstance(table[0], list) and all(
+            isinstance(row, list) and len(row) == len(table[0]) for row in table):
+        table = [x for row in table for x in row]
+    return table
 
 
 def _first_fault(entries: list, declared: dict[str, int]) -> None:
@@ -232,7 +239,7 @@ def _first_fault(entries: list, declared: dict[str, int]) -> None:
         values = _expect(entry, "values", where)
         _check_numbers(values, where)
         try:
-            DiscreteFactor([(v, declared[v]) for v in scope_names], values)
+            DiscreteFactor([(v, declared[v]) for v in scope_names], _flat_rows(values))
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
         if name in seen:

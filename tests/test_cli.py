@@ -7,6 +7,7 @@ import math
 import os
 import resource
 import shlex
+import signal
 import subprocess
 import sys
 import warnings
@@ -756,12 +757,10 @@ def test_eliminate_star_rejected_before_allocating(tmp_path):
             "factors": [{"name": f"f{v}", "scope": ["h", v], "values": [1, 2, 3, 4]} for v in leaves]}
     model = tmp_path / "star.model"
     model.write_text(json.dumps(star))
-    src = str(Path(pgmlab.__file__).resolve().parents[1])
     limit = 1_500_000 * 1024
-    proc = subprocess.run(
-        [sys.executable, "-m", "pgmlab.cli", "fg", "eliminate", "--model", str(model), "--keep", "l0",
-         "--order", ",".join(["h", *leaves[1:]])],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    proc = _cli_process(
+        ["fg", "eliminate", "--model", str(model), "--keep", "l0", "--order", ",".join(["h", *leaves[1:]])],
+        capture_output=True, text=True,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ("validation error: elimination step 1 (variable 'h') would build a table of "
@@ -778,16 +777,12 @@ def test_eliminate_star_rejected_before_allocating(tmp_path):
     (["sample", "mh", "--dim", "1000000000000", "--samples", "2"],
      "the chain of (samples + warmup) x dim = 2 x 1000000000000 would have 2000000000000 entries"),
 ])
-def test_sampler_size_rejected_before_allocating(write_model, argv, what):
+def test_sampler_size_rejected_before_allocating(tmp_path, argv, what):
     # Under a 1.5 GB address-space limit an allocation of this size would fail
     # with a traceback (or, for mh, run for minutes); the check exits 2 first.
-    argv = [write_model("r.model", RBM_MODEL) if arg == "@rbm" else arg for arg in argv]
-    src = str(Path(pgmlab.__file__).resolve().parents[1])
     limit = 1_500_000 * 1024
-    proc = subprocess.run(
-        [sys.executable, "-m", "pgmlab.cli", *argv, "--seed", "1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    proc = _cli_process([*_resolve(argv, tmp_path), "--seed", "1"], capture_output=True, text=True,
+                        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == f"validation error: {what}, over the limit of 16777216\n"
 
@@ -879,6 +874,16 @@ def test_closed_pipe_exits_1_without_traceback(tmp_path, table, steps):
     assert err == ""
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["hmm", "--help"], ["hmm", "filter", "-h"],
+                                  ["vi", "klfit", "--variances", "1,4"]])
+def test_output_into_a_pipe_with_no_reader_exits_1_quietly(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before the process starts
+    proc = _cli_process(argv, stdout=write, stderr=subprocess.PIPE)
+    os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
 @_LONG_OUTPUTS
 def test_process_writes_a_long_output_whole(tmp_path, capsys, table, steps):
     # The process ends through os._exit, so bytes left unflushed at that point would be lost.
@@ -907,16 +912,9 @@ def test_process_writes_a_long_output_whole(tmp_path, capsys, table, steps):
     (["sample", "rejection", "--samples", "1_0", "--seed", "1"], 4,
      "usage error: argument --samples: invalid int value: '1_0'\n"),
 ])
-def test_process_error_exit_writes_its_message_whole(write_model, argv, code, err):
-    proc = _cli_process(_model_paths(write_model, argv), capture_output=True, text=True)
+def test_process_error_exit_writes_its_message_whole(tmp_path, argv, code, err):
+    proc = _cli_process(_resolve(argv, tmp_path), capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
-
-
-def _model_paths(write_model, argv):
-    """``argv`` with ``@hmm`` and ``@overflow`` replaced by the paths of those models."""
-    overflow = {"kalman": {**KALMAN_MODEL["kalman"], "A": [1e200, 1e200], "prior": {"mean": 1e200, "var": 1.0}}}
-    paths = {"@hmm": write_model("h.model", HMM_MODEL), "@overflow": write_model("o.model", overflow)}
-    return [paths.get(a, a) for a in argv]
 
 
 @pytest.mark.parametrize("argv, code, err", [
@@ -930,11 +928,11 @@ def _model_paths(write_model, argv):
     (["hmm", "--help"], 0, ""),
     (["hmm", "filter", "-h"], 0, ""),
 ])
-def test_process_started_with_a_closed_stream_keeps_its_exit_code(write_model, argv, code, err):
+def test_process_started_with_a_closed_stream_keeps_its_exit_code(tmp_path, argv, code, err):
     # A stream closed before the process starts is None in it.  With no standard output a
     # success, help included, exits 1 quietly, as on a closed pipe; an error keeps its own
     # exit code.
-    argv = _model_paths(write_model, argv)
+    argv = _resolve(argv, tmp_path)
     command = shlex.join([sys.executable, "-m", "pgmlab.cli", *argv])
 
     def closing(redirect):
@@ -985,6 +983,26 @@ def test_in_process_closed_pipe_returns_1(write_model, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _chain(n):
+    """A binary chain v00000 - v00001 - ...: a prior on v00000 and links whose rows sum to one."""
+    names = [f"v{i:05d}" for i in range(n)]
+    links = enumerate(zip(names, names[1:]))
+    return {"variables": [{"name": v, "card": 2} for v in names],
+            "factors": [{"name": "prior", "scope": ["v00000"], "values": [0.3, 0.7]}]
+            + [{"name": f"f{i:05d}", "scope": [a, b], "values": [0.9, 0.2, 0.1, 0.8]} for i, (a, b) in links]}
+
+
+def _star(d):
+    """A hub c with d binary leaves whose messages into c alternate [1, 1e-3] and [1e-3, 1]."""
+    leaves = [f"l{i:04d}" for i in range(d)]
+    return {"variables": [{"name": v, "card": 2} for v in ["c", *leaves]],
+            "factors": [{"name": f"f{v}", "scope": ["c", v], "values": [1, 1e-3, 1, 1e-3][::(-1) ** i]}
+                        for i, v in enumerate(leaves)]}
+
+
+_FG_AB = {"variables": [{"name": "a", "card": 2}, {"name": "b", "card": 2}],
+          "factors": [{"name": "f", "scope": ["a", "b"], "values": [1, 2, 3, 4]}]}
+
 # Example argument lists for every command in ``cli.COMMANDS``.  A token
 # "@name" stands for a file under the test's directory: the files in
 # _EXAMPLE_FILES are written first, any other "@name" is a path left absent.
@@ -1000,6 +1018,13 @@ _EXAMPLE_FILES = {
     "@inf_values": "x\n1.0\n-inf\n0.5\n",
     "@nan_xy": "x,y\n0.1,1\nnan,2\n1.0,3\n",
     "@inf_xy": "x,y\n0.1,1\ninf,2\n1.0,3\n",
+    "@overflow": {"kalman": {**KALMAN_MODEL["kalman"], "A": [1e200, 1e200], "prior": {"mean": 1e200, "var": 1.0}}},
+    "@net": {"dag": {"nodes": ["t", "s", "d"], "parents": {"d": ["t", "s"]}}}, "@fg": _FG_AB,
+    "@readme_rbm": {"rbm": {"W": [[0.4, -0.2]], "a": [0.0], "b": [-0.1, 0.2]}},
+    "@crlf_spins": 'x1,x2\r\n-1,-1\r\n\r\n"1",1\r\n1,-1\r\n-1,-1\r\n',
+    "@zero": {"hmm": {"prior": [0.5, 0.5, 0.0], "transitions": [[0.9, 0.1, 0.0], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]],
+                      "emissions": [[0.7, 0.3], [0.1, 0.9], [0.5, 0.5]], "steps": 3}},
+    "@chain": _chain(10_000), "@star300": _star(300), "@star1000": _star(1000),
 }
 
 _EXAMPLES = {
@@ -1260,8 +1285,6 @@ def test_a_data_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     assert err.startswith("validation error: ") and str(tmp_path / "data.csv") in err
 
 
-_FG_AB = {"variables": [{"name": "a", "card": 2}, {"name": "b", "card": 2}],
-          "factors": [{"name": "f", "scope": ["a", "b"], "values": [1, 2, 3, 4]}]}
 _HMM2 = {**HMM_MODEL["hmm"], "transitions": [[0.9, 0.1], [0.2, 0.8]]}
 _KALMAN = KALMAN_MODEL["kalman"]
 _USEP = ["graph", "usep", "--x", "a", "--y", "b"]
@@ -1333,3 +1356,49 @@ def test_refusal_exits_2_with_its_message(write_model, tmp_path, capsys, case):
         argv[2:2] = ["--model", write_model("m.model", doc)]
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"validation error: {message}\n")
+
+
+# id -> (argv, ..., check): each argv exits 0 within 10 s, printing strict JSON in json.dumps(indent=2)
+# layout, and check, if any, holds on their outputs.  A collider's blanket holds the other parent.
+CLI_ROWS = {
+    "graph imap": (["graph", "imap", "--model", "@net", "--order", "d,s,t"],
+                   lambda out: out["parents"] == {"s": ["d"], "t": ["d", "s"]}),
+    "graph mb": (["graph", "mb", "--model", "@net", "--node", "t"], lambda out: out["blanket"] == ["d", "s"]),
+    "graph moralize": (["graph", "moralize", "--model", "@net"],
+                       lambda out: out["edges"] == [["d", "s"], ["d", "t"], ["s", "t"]]),
+    "sample gibbs-rbm": (["sample", "gibbs-rbm", "--model", "@readme_rbm", "--sweeps", "2000", "--seed", "1"],
+                         lambda out: out["counts"] == {"0": 988, "1": 1012} and out["mean_visible"] == [0.506]),
+    # MH draws the whole chain's normals, then its uniforms: every NumPy in the CI matrix gives this chain.
+    "sample mh": (["sample", "mh", "--samples", "2000", "--seed", "1"],
+                  lambda out: out["acceptance_rate"] == 0.551 and out["mean"] == [-0.0835261449739, -0.0316206803971]),
+    "fit ising2 on a CRLF, quoted, blank-line CSV": (["fit", "ising2", "--data", "@crlf_spins"],
+                                                     lambda out: out["theta"] == -0.113195229314),
+    "fg map": (["fg", "map", "--model", "@fg"], lambda out: out["assignment"] == {"a": 1, "b": 1}),
+    "fg eliminate, no --order, 10,000-variable chain": (
+        ["fg", "eliminate", "--model", "@chain", "--keep", "v09999"],
+        ["fg", "marginal", "--model", "@chain", "--var", "v09999"],
+        lambda e, m: all(abs(a - b) <= 1e-9 for a, b in zip(e["v09999"], m["v09999"]))),
+    # State 3 is unreachable at step 1, so arrays hold an exact 0.0.
+    "hmm filter zero": (["hmm", "filter", "--model", "@zero", "--obs", "0,1,1"], lambda out: out["filtered"][0][2] == 0.0),
+    "hmm ffbs zero": (["hmm", "ffbs", "--model", "@zero", "--obs", "0,1,1", "--paths", "3", "--seed", "1"], None),
+    # No float holds the product of the messages into the hub unless it is rescaled.
+    **{f"fg marginal {var}, {d}-leaf star": (["fg", "marginal", "--model", f"@star{d}", "--var", var],
+                                             lambda out, var=var: out[var] == [0.5, 0.5])
+       for d in (300, 1000) for var in ("c", "l0000")},
+}
+
+
+@pytest.mark.parametrize("row", sorted(CLI_ROWS))
+def test_cli_row(tmp_path, capsys, row):
+    *argvs, check = CLI_ROWS[row]
+    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail(f"{row!r} ran over 10 s"))
+    signal.alarm(10)
+    try:
+        runs = [(cli.main(_resolve(argv, tmp_path)), capsys.readouterr().out) for argv in argvs]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [code for code, _ in runs] == [0] * len(argvs)
+    envelopes = [json.loads(text, parse_constant=_not_json) for _, text in runs]
+    assert [text for _, text in runs] == [json.dumps(env, indent=2) + "\n" for env in envelopes]
+    assert check is None or check(*(env["outputs"] for env in envelopes))

@@ -105,12 +105,19 @@ class TestLayout:
             DiscreteFactor([("a", 2)], values)
 
     def test_values_do_not_alias_the_input(self):
-        given = np.array([[1.0, 2.0], [3.0, 4.0]])
+        given = np.array([1.0, 2.0, 3.0, 4.0])
         f = DiscreteFactor([("a", 2), ("b", 2)], given)
-        given[0, 0] = 9.0
+        given[0] = 9.0
         assert list(f.values) == [1.0, 2.0, 3.0, 4.0]
         assert not np.shares_memory(f.values, given)
         assert not f.values.flags.writeable
+
+    def test_values_of_other_than_one_axis_are_refused(self):
+        f = DiscreteFactor([("a", 2), ("b", 3)], range(6))  # an array view would come back transposed
+        for values in (f.ndarray(), f.ndarray().T, f.ndarray().tolist(), 5.0):
+            with pytest.raises(ValidationError, match="factor values must be one flat list, got an array of shape"):
+                DiscreteFactor(f.scope, values)
+        assert DiscreteFactor.from_ndarray(f.scope, f.ndarray()) == f
 
     def test_wide_scope(self):
         # 80 cardinality-1 variables around b and c: more axes than NumPy allows.

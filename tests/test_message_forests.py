@@ -638,3 +638,17 @@ def test_marginal_refuses_a_separate_component_of_zero_mass():
             marginal(fg, "a")
         with pytest.raises(NumericError):
             conditioned_sum_product(fg, {})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(100, 500), st.integers(0, 2**32 - 1), st.floats(2.0, 12.0))
+def test_star_marginals_match_a_log_space_reference(d, seed, decades):
+    # A hub c with d binary leaves; leaf i's table holds 10**x at [c, l_i], x uniform in ±decades.
+    log_tables = np.random.default_rng(seed).uniform(-decades, decades, (d, 2, 2)) * math.log(10)
+    factors = {f"f{i}": DiscreteFactor.from_ndarray([("c", 2), (f"l{i}", 2)], np.exp(t)) for i, t in enumerate(log_tables)}
+    fg = FactorGraph([("c", 2), *((f"l{i}", 2) for i in range(d))], factors)
+    into_c = np.logaddexp.reduce(log_tables, axis=2)  # each leaf's message into c, in logs
+    log_c = into_c.sum(axis=0)
+    log_l0 = np.logaddexp.reduce(log_tables[0] + (log_c - into_c[0])[:, None], axis=0)
+    for var, logs in (("c", log_c), ("l0", log_l0)):
+        assert_allclose(marginal(fg, var), np.exp(logs - np.logaddexp.reduce(logs)), rtol=1e-9, atol=1e-12)

@@ -139,6 +139,7 @@ FAULTS = {
     "card 0": lambda e, k: e.update(scope=[f"v{k}", "z"], values=[]),
     "string scope": lambda e, k: e.update(scope=f"v{k}v{k + 1}"),
     "missing values": lambda e, k: e.pop("values"),
+    "scalar values": lambda e, k: e.update(scope=[], values=0.5),
 }
 
 
@@ -246,6 +247,7 @@ FAULT_TEXTS = {
     "card 0": "factor 'f1': variable 'z': cardinality must be a positive integer, got 0",
     "string scope": "factor 'f1': 'scope' must be a list of names",
     "missing values": "factor 'f1': missing field 'values'",
+    "scalar values": "factor 'f1': factor values must be one flat list, got an array of shape ()",
 }
 
 
@@ -298,7 +300,7 @@ def test_a_section_parses_to_one_buffer_or_raises_a_validation_error(edits):
     assert all(t.base is tables[0].base and not t.flags.writeable for t in tables)
     assert all(isinstance(name, str) for name in parsed.factors)
     for entry in doc["factors"]:
-        public = DiscreteFactor([(v, declared[v]) for v in entry["scope"]], entry["values"])
+        public = DiscreteFactor([(v, declared[v]) for v in entry["scope"]], np.ravel(entry["values"]))
         assert parsed.factors[entry["name"]] == public
 
 
