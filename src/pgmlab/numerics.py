@@ -33,9 +33,9 @@ def float_array(x, what: str, copy: bool = False) -> np.ndarray:
         raise ValidationError(f"{what} must be finite") from None
 
 
-def finite_array(x, what: str) -> np.ndarray:
+def finite_array(x, what: str, copy: bool = False) -> np.ndarray:
     """:func:`float_array` with every entry finite."""
-    arr = float_array(x, what)
+    arr = float_array(x, what, copy)
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} must be finite")
     return arr

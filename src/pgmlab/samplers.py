@@ -416,14 +416,15 @@ class RbmModel:
     b: np.ndarray
 
     def __init__(self, W, a, b):
-        W = finite_array(W, "W")
-        a = finite_array(a, "a").reshape(-1)
-        b = finite_array(b, "b").reshape(-1)
+        # Read-only copies: a later write to the caller's arrays cannot reach the checked model.
+        W = finite_array(W, "W", copy=True)
+        a = finite_array(a, "a", copy=True).reshape(-1)
+        b = finite_array(b, "b", copy=True).reshape(-1)
         if W.ndim != 2 or W.shape != (a.size, b.size):
             raise ValidationError("W must be (len(a), len(b))")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        for name, x in (("W", W), ("a", a), ("b", b)):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
     @property
     def n_visible(self) -> int:

@@ -5,7 +5,10 @@ Transition and emission matrices are row-stochastic: ``transitions[t][i, j]``
 is p(h_{t+2}=j | h_{t+1}=i) and ``emissions[t][i, k]`` is p(v_{t+1}=k |
 h_{t+1}=i).  All matrices may vary per step; use :meth:`DiscreteHmm.homogeneous`
 for the common time-invariant case.  A matrix object repeated across steps
-is validated once and stored once, and Viterbi takes its log once.
+is validated once and stored once, as the model's own read-only copy, and
+Viterbi takes its log once.  The distinct emission matrices sit side by side
+in one table, from which each pass gathers the evidence of all its
+observations at once.
 
 Filtered quantities are stored normalised with the per-step normalisers
 folded into a running log term, so long chains cannot underflow while the
@@ -15,71 +18,100 @@ unnormalised values remain recoverable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, NumericError, ValidationError
-from .numerics import count, finite_array, float_array, positive
+from .numerics import count, finite_array, float_array, positive, within_limit
 
 _ROW_TOL = 1e-9
 
 
-def _check_row_stochastic(m: np.ndarray, what: str) -> np.ndarray:
-    m = float_array(m, what)
+def _check_row_stochastic(m, what: str) -> np.ndarray:
+    """A read-only copy of ``m``, once it is a matrix of finite non-negative entries whose
+    rows sum to 1; a later write to the caller's array cannot reach the checked model."""
+    m = float_array(m, what, copy=True)
     if m.ndim != 2:
         raise ValidationError(f"{what} must be a matrix")
     if np.any(m < 0) or not np.all(np.isfinite(m)):
         raise ValidationError(f"{what} must have finite non-negative entries")
     if not np.allclose(m.sum(axis=1), 1.0, atol=_ROW_TOL, rtol=0.0):
         raise ValidationError(f"rows of {what} must sum to 1")
+    m.setflags(write=False)
     return m
 
 
-def _once_each(fn, matrices) -> tuple[np.ndarray, ...]:
-    """``fn`` of each matrix, called once per distinct matrix object; a step that
-    repeats an object shares its result, so a time-invariant model holds one."""
+def _once_each(fn, matrices) -> tuple[list[np.ndarray], list[int]]:
+    """``fn`` of each distinct matrix object, called once each in order of first use, and
+    each step's index into those results; a time-invariant model holds one of each."""
     matrices = list(matrices)  # keeps every input alive while ids key the results
-    done: dict[int, np.ndarray] = {}
+    index: dict[int, int] = {}
+    results: list[np.ndarray] = []
+    labels = []
     for m in matrices:
-        if id(m) not in done:
-            done[id(m)] = fn(m)
-    return tuple(done[id(m)] for m in matrices)
+        i = index.get(id(m))
+        if i is None:
+            i = index[id(m)] = len(results)
+            results.append(fn(m))
+        labels.append(i)
+    return results, labels
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteHmm:
-    """Hidden Markov model with per-step transition and emission matrices."""
+    """Hidden Markov model with per-step transition and emission matrices, each
+    array the model's own read-only copy.
+
+    The distinct emission matrices are stored side by side in one table, matrix d in
+    columns ``_emission_bounds[d]`` to ``_emission_bounds[d + 1]``, and step t uses
+    matrix ``_emission_labels[t]``; ``emissions`` holds views of that table, so a pass
+    gathers the evidence of all its steps from the table at once.
+    """
 
     prior: np.ndarray
     transitions: tuple[np.ndarray, ...]
     emissions: tuple[np.ndarray, ...]
+    _emission_table: np.ndarray = field(repr=False)
+    _emission_bounds: np.ndarray = field(repr=False)
+    _emission_labels: np.ndarray = field(repr=False)
 
     def __init__(self, prior, transitions: Sequence, emissions: Sequence):
-        prior = float_array(prior, "prior")
+        prior = float_array(prior, "prior", copy=True)
         if prior.ndim != 1 or np.any(prior < 0) or not np.all(np.isfinite(prior)):
             raise ValidationError("prior must be a finite non-negative vector")
         if abs(prior.sum() - 1.0) > _ROW_TOL:
             raise ValidationError("prior must sum to 1")
+        prior.setflags(write=False)
         k = prior.size
-        trans = _once_each(lambda m: _check_row_stochastic(m, "transition matrix"), transitions)
-        emis = _once_each(lambda m: _check_row_stochastic(m, "emission matrix"), emissions)
-        if len(emis) != len(trans) + 1:
+        trans, trans_labels = _once_each(lambda m: _check_row_stochastic(m, "transition matrix"), transitions)
+        emis, emis_labels = _once_each(lambda m: _check_row_stochastic(m, "emission matrix"), emissions)
+        if len(emis_labels) != len(trans_labels) + 1:
             raise ValidationError("need one emission matrix per step and one transition per gap")
-        for t in trans:
-            if t.shape != (k, k):
-                raise ValidationError("transition matrices must be square over the state count")
-        for e in emis:
-            if e.shape[0] != k:
-                raise ValidationError("emission rows must match the state count")
+        if any(t.shape != (k, k) for t in trans):
+            raise ValidationError("transition matrices must be square over the state count")
+        if any(e.shape[0] != k for e in emis):
+            raise ValidationError("emission rows must match the state count")
+        bounds = np.cumsum([0] + [e.shape[1] for e in emis])
+        table = np.concatenate(emis, axis=1)
+        table.setflags(write=False)
+        views = [table[:, a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
         object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "transitions", trans)
-        object.__setattr__(self, "emissions", emis)
+        object.__setattr__(self, "transitions", tuple(map(trans.__getitem__, trans_labels)))
+        object.__setattr__(self, "emissions", tuple(map(views.__getitem__, emis_labels)))
+        object.__setattr__(self, "_emission_table", table)
+        object.__setattr__(self, "_emission_bounds", bounds)
+        object.__setattr__(self, "_emission_labels", np.array(emis_labels, dtype=np.intp))
 
     @classmethod
     def homogeneous(cls, prior, transition, emission, n_steps: int) -> "DiscreteHmm":
         n_steps = count(n_steps, "n_steps")
+        # Smoothing or sampling a full observation sequence fills a steps x states table;
+        # a model too long for one is refused before any per-step tuple is built.  An
+        # empty prior, which the constructor refuses, counts as one state here.
+        states = max(float_array(prior, "prior").size, 1)
+        within_limit(n_steps * states, f"the table of a full sequence, steps x states = {n_steps} x {states},")
         return cls(prior, [transition] * (n_steps - 1), [emission] * n_steps)
 
     @property
@@ -91,14 +123,32 @@ class DiscreteHmm:
         return self.prior.size
 
 
-def _check_observations(hmm: DiscreteHmm, observations: Sequence[int]) -> list[int]:
+def _check_observations(hmm: DiscreteHmm, observations: Sequence[int]) -> np.ndarray:
+    """Each observation's column in the model's emission table, once each is a symbol of
+    its step's emission alphabet."""
     obs = [count(v, "observation", least=0) for v in observations]
-    if not 1 <= len(obs) <= hmm.n_steps:
+    n = len(obs)
+    if not 1 <= n <= hmm.n_steps:
         raise ValidationError(f"need between 1 and {hmm.n_steps} observations")
-    for t, v in enumerate(obs):
-        if v >= hmm.emissions[t].shape[1]:
-            raise ValidationError(f"observation {v} at step {t + 1} outside the emission alphabet")
-    return obs
+    labels = hmm._emission_labels[:n]
+    first = hmm._emission_bounds[labels]
+    alphabet = hmm._emission_bounds[labels + 1] - first
+    try:
+        symbols = np.array(obs, dtype=np.intp)
+        outside = np.flatnonzero(symbols >= alphabet)
+    except OverflowError:  # a symbol past every index
+        outside = [t for t, (v, size) in enumerate(zip(obs, alphabet.tolist())) if v >= size]
+    if len(outside):
+        t = outside[0]
+        raise ValidationError(f"observation {obs[t]} at step {t + 1} outside the emission alphabet")
+    return symbols + first
+
+
+def _evidence(hmm: DiscreteHmm, columns: np.ndarray, fn=None) -> np.ndarray:
+    """The (len(columns), K) array whose row t is the :func:`_check_observations` column t
+    of the emission table, or of ``fn`` of the table: one gather for all steps."""
+    table = hmm._emission_table if fn is None else fn(hmm._emission_table)
+    return table.T[columns]
 
 
 def alpha_filter(hmm: DiscreteHmm, observations: Sequence[int]) -> tuple[np.ndarray, float]:
@@ -109,22 +159,22 @@ def alpha_filter(hmm: DiscreteHmm, observations: Sequence[int]) -> tuple[np.ndar
     transition, multiplies in the evidence, and renormalises; the product of
     the per-step normalisers is the likelihood.
     """
-    filtered, _, log_lik = _filter(hmm, _check_observations(hmm, observations))
+    columns = _check_observations(hmm, observations)
+    filtered, _, log_lik = _filter(hmm, _evidence(hmm, columns))
     return filtered, log_lik
 
 
-def _filter(hmm: DiscreteHmm, obs: list[int]) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`alpha_filter` of checked observations, with the unnormalised rows: row t
+def _filter(hmm: DiscreteHmm, evidence: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`alpha_filter` of the :func:`_evidence` rows, with the unnormalised rows: row t
     is step t + 1's evidence times the previous filtered row carried one step on."""
-    filtered = np.empty((len(obs), hmm.n_states))
-    weighted = np.empty_like(filtered)
+    filtered = np.empty_like(evidence)
+    weighted = np.empty_like(evidence)
     log_lik = 0.0
     current = hmm.prior
-    for t, (v, row, filtered_row) in enumerate(zip(obs, weighted, filtered)):
-        if t > 0:
-            current = hmm.transitions[t - 1].T @ current
-        np.multiply(hmm.emissions[t][:, v], current, out=row)
-        norm = float(np.add.reduce(row))
+    for t, (e, row, filtered_row) in enumerate(zip(evidence, weighted, filtered)):
+        if t:
+            current = current.dot(hmm.transitions[t - 1])
+        norm = np.add.reduce(np.multiply(e, current, out=row))
         if norm <= 0.0:
             raise ImpossibleEvidenceError(f"evidence up to step {t + 1} has probability zero")
         current = np.divide(row, norm, out=filtered_row)
@@ -139,14 +189,14 @@ def hidden_prediction(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> 
     its total mass equals p(v_{1:u}) for any t > u because the transition
     rows sum to one.
     """
-    obs = _check_observations(hmm, observations)
-    u = len(obs)
+    columns = _check_observations(hmm, observations)
+    u = len(columns)
     if not u <= count(t, "prediction step t", least=0) <= hmm.n_steps:
         raise ValidationError(f"prediction step t={t} must lie in [{u}, {hmm.n_steps}]")
-    filtered, _, log_lik = _filter(hmm, obs)
+    filtered, _, log_lik = _filter(hmm, _evidence(hmm, columns))
     current = filtered[-1].copy()  # not a view that keeps every row alive
     for s in range(u + 1, t + 1):
-        current = hmm.transitions[s - 2].T @ current
+        current = current.dot(hmm.transitions[s - 2])
     return current, log_lik
 
 
@@ -162,14 +212,14 @@ def predict_visible(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np
     return hmm.emissions[t - 1].T @ hidden
 
 
-def _backward(hmm: DiscreteHmm, obs: list[int], first: int = 1) -> np.ndarray:
+def _backward(hmm: DiscreteHmm, evidence: np.ndarray, first: int = 1) -> np.ndarray:
     """Backward vectors from step ``first`` on as an (n - first + 1, K) array whose row r is
     beta_{first+r}: beta_t is proportional to p(v_{t+1:n} | h_t), scaled to a peak of one;
     beta_n is all ones."""
-    betas = np.empty((len(obs) - first + 1, hmm.n_states))
+    betas = np.empty((len(evidence) - first + 1, hmm.n_states))
     betas[-1] = 1.0
-    for t in range(len(obs) - 1, first - 1, -1):
-        beta = hmm.transitions[t - 1] @ (hmm.emissions[t][:, obs[t]] * betas[t - first + 1])
+    for t in range(len(evidence) - 1, first - 1, -1):
+        beta = hmm.transitions[t - 1].dot(evidence[t] * betas[t - first + 1])
         peak = np.maximum.reduce(beta)
         if peak <= 0.0:
             raise ImpossibleEvidenceError("evidence has probability zero")
@@ -180,11 +230,12 @@ def _backward(hmm: DiscreteHmm, obs: list[int], first: int = 1) -> np.ndarray:
 def smooth(hmm: DiscreteHmm, observations: Sequence[int]) -> np.ndarray:
     """Smoothed marginals p(h_t | v_{1:n}) as an (n, K) array whose row t is step
     t + 1, by the forward-backward product; the backward pass starts from all ones."""
-    obs = _check_observations(hmm, observations)
-    if len(obs) != hmm.n_steps:
+    columns = _check_observations(hmm, observations)
+    if len(columns) != hmm.n_steps:
         raise ValidationError("smoothing needs the full observation sequence")
-    filtered, _, _ = _filter(hmm, obs)
-    joint = filtered * _backward(hmm, obs)
+    evidence = _evidence(hmm, columns)
+    filtered, _, _ = _filter(hmm, evidence)
+    joint = filtered * _backward(hmm, evidence)
     totals = np.add.reduce(joint, 1)
     if np.any(totals <= 0.0):
         raise ImpossibleEvidenceError("evidence has probability zero")
@@ -199,19 +250,16 @@ def smooth_pairwise(hmm: DiscreteHmm, observations: Sequence[int], t: int) -> np
     steps 1..t-1 and the backward pass over n..t.  Evidence of probability zero
     that neither pass meets leaves the joint with no mass.
     """
-    obs = _check_observations(hmm, observations)
-    n = len(obs)
+    columns = _check_observations(hmm, observations)
+    n = len(columns)
     if n != hmm.n_steps:
         raise ValidationError("pairwise smoothing needs the full observation sequence")
     if not 2 <= count(t, "pair step t", least=0) <= n:
         raise ValidationError(f"pair step t={t} must lie in [2, {n}]")
-    filtered, _, _ = _filter(hmm, obs[:t - 1])
-    beta = _backward(hmm, obs, t)[0]
-    joint = (
-        filtered[-1][:, None]
-        * hmm.transitions[t - 2]
-        * (hmm.emissions[t - 1][:, obs[t - 1]] * beta)[None, :]
-    )
+    evidence = _evidence(hmm, columns)
+    filtered, _, _ = _filter(hmm, evidence[:t - 1])
+    beta = _backward(hmm, evidence, t)[0]
+    joint = filtered[-1][:, None] * hmm.transitions[t - 2] * (evidence[t - 1] * beta)[None, :]
     total = joint.sum()
     if total <= 0.0:
         raise ImpossibleEvidenceError("evidence has probability zero")
@@ -224,19 +272,18 @@ def viterbi(hmm: DiscreteHmm, observations: Sequence[int]) -> tuple[list[int], f
     Standard log-domain recursion with backtracking tables; ties break to
     the lowest state index.
     """
-    obs = _check_observations(hmm, observations)
-    n = len(obs)
+    columns = _check_observations(hmm, observations)
+    n = len(columns)
     with np.errstate(divide="ignore"):
-        log_trans = _once_each(np.log, hmm.transitions[:n - 1])
-        log_emis = _once_each(np.log, hmm.emissions[:n])
-        scores = np.log(hmm.prior) + log_emis[0][:, obs[0]]
-    cols = np.arange(hmm.n_states)
+        # Transposed: row j of a step's candidates holds the scores of every way into state j.
+        log_into, labels = _once_each(lambda m: np.log(m.T, order="C"), hmm.transitions[:n - 1])
+        log_evidence = _evidence(hmm, columns, np.log)
+        scores = np.log(hmm.prior) + log_evidence[0]
     back: list[np.ndarray] = []
-    for t in range(1, n):
-        cand = scores[:, None] + log_trans[t - 1]  # rows: previous state
-        best = cand.argmax(axis=0)
-        back.append(best)
-        scores = cand[best, cols] + log_emis[t][:, obs[t]]
+    for label, log_e in zip(labels, log_evidence[1:]):
+        cand = log_into[label] + scores
+        back.append(cand.argmax(1))
+        scores = np.maximum.reduce(cand, 1) + log_e
     if not np.any(np.isfinite(scores)):
         raise ImpossibleEvidenceError("evidence has probability zero")
     path = [int(scores.argmax())]
@@ -252,21 +299,22 @@ def ffbs_backward_kernel(hmm: DiscreteHmm, observations: Sequence[int], t: int) 
     Rows index h_t; row h sums to one exactly because the forward recursion
     defines the normaliser.
     """
-    obs = _check_observations(hmm, observations)
-    if not 2 <= count(t, "kernel step t", least=0) <= len(obs):
-        raise ValidationError(f"kernel step t={t} must lie in [2, {len(obs)}]")
-    filtered, weighted, _ = _filter(hmm, obs)
-    return _backward_kernels(hmm, obs, filtered[:t], weighted[:t], first=t)[0]
+    columns = _check_observations(hmm, observations)
+    if not 2 <= count(t, "kernel step t", least=0) <= len(columns):
+        raise ValidationError(f"kernel step t={t} must lie in [2, {len(columns)}]")
+    evidence = _evidence(hmm, columns)
+    filtered, weighted, _ = _filter(hmm, evidence)
+    return _backward_kernels(hmm, evidence, filtered[:t], weighted[:t], first=t)[0]
 
 
-def _backward_kernels(hmm: DiscreteHmm, obs: list[int], filtered, weighted, first: int = 2) -> np.ndarray:
+def _backward_kernels(hmm: DiscreteHmm, evidence, filtered, weighted, first: int = 2) -> np.ndarray:
     """The :func:`ffbs_backward_kernel` of each step t from ``first`` to n = len(filtered) as
     slice t - first of one array.  Entry [h, j] of a slice is prev[j] * transitions[j, h] * emis[h]
     / weighted[h], with prev the filtered row before step t; it is 0 where weighted[h] is 0."""
     n, k = filtered.shape
     kernels = np.array([m.T for m in hmm.transitions[first - 2:n - 1]]).reshape(-1, k, k)
     kernels *= filtered[first - 2:-1, None, :]
-    kernels *= np.array([hmm.emissions[s][:, obs[s]] for s in range(first - 1, n)]).reshape(-1, k, 1)
+    kernels *= evidence[first - 1:n, :, None]
     kernels /= np.where(weighted[first - 1:] > 0.0, weighted[first - 1:], np.inf)[:, :, None]
     return kernels
 
@@ -282,12 +330,13 @@ def ffbs_paths(hmm: DiscreteHmm, observations: Sequence[int], rng, n_paths: int)
     Returns an integer array of shape (n_paths, n_steps).
     """
     n_paths = count(n_paths, "n_paths")
-    obs = _check_observations(hmm, observations)
-    n = len(obs)
+    columns = _check_observations(hmm, observations)
+    n = len(columns)
     if n != hmm.n_steps:
         raise ValidationError("sampling needs the full observation sequence")
-    filtered, weighted, _ = _filter(hmm, obs)
-    kernels = _backward_kernels(hmm, obs, filtered, weighted)
+    evidence = _evidence(hmm, columns)
+    filtered, weighted, _ = _filter(hmm, evidence)
+    kernels = _backward_kernels(hmm, evidence, filtered, weighted)
     cdfs = np.cumsum(kernels, axis=2, out=kernels)
     # Row i of the block is the draw for step n - i, in the order of one call per step.
     uniforms = rng.uniform(size=(n, n_paths))

@@ -26,14 +26,16 @@ class GaussianTarget:
     linear: np.ndarray
 
     def __init__(self, precision, linear):
-        lam = finite_array(precision, "precision")
-        eta = finite_array(linear, "linear").reshape(-1)
+        # Read-only copies: a later write to the caller's arrays cannot reach the checked target.
+        lam = finite_array(precision, "precision", copy=True)
+        eta = finite_array(linear, "linear", copy=True).reshape(-1)
         if lam.ndim != 2 or lam.shape != (eta.size, eta.size):
             raise ValidationError("precision must be square over the dimension of linear")
         check_symmetric(lam, "precision")
         positive(np.diag(lam), "diagonal precision")
-        object.__setattr__(self, "precision", lam)
-        object.__setattr__(self, "linear", eta)
+        for name, x in (("precision", lam), ("linear", eta)):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
     @property
     def dim(self) -> int:

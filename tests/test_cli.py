@@ -1316,6 +1316,13 @@ REFUSALS = {
                         "need one emission matrix per step and one transition per gap"),
     "hmm vector transitions": ({"hmm": {**_HMM2, "transitions": [0.5, 0.5]}}, _HMM_FILTER,
                                "hmm: transitions and emissions must be matrices or lists of matrices"),
+    "hmm steps over the table limit": ({"hmm": {**_HMM2, "steps": 10**12}}, _HMM_FILTER,
+                                       "the table of a full sequence, steps x states = 1000000000000 x 2, "
+                                       "would have 2000000000000 entries, over the limit of 16777216"),
+    # One step past 2^24 / K: refused even though the filter reads only the first steps.
+    "hmm steps just over the table limit": ({"hmm": {**_HMM2, "steps": 2**23 + 1}}, _HMM_FILTER,
+                                            "the table of a full sequence, steps x states = 8388609 x 2, "
+                                            "would have 16777218 entries, over the limit of 16777216"),
     "fg duplicate variables": ({**_FG_AB, "variables": [{"name": "a", "card": 2}] * 2}, ["fg", "map"],
                                "duplicate variable names"),
     "fg factor named like a variable": ({**_FG_AB, "factors": [{"name": "a", "scope": ["a"], "values": [1, 2]}]},

@@ -93,9 +93,11 @@ class TestFiltering:
         with pytest.raises(ImpossibleEvidenceError):
             alpha_filter(hmm, [1])
 
-    def test_symbol_out_of_alphabet(self, flip_hmm):
-        with pytest.raises(ValidationError):
-            alpha_filter(flip_hmm, [2])
+    # The first symbol outside its step's alphabet is named, however large: 2**70 fits no index.
+    @pytest.mark.parametrize("obs, step", [([2], 1), ([0, 1, 3], 3), ([0, 2**70, 2], 2)])
+    def test_symbol_out_of_alphabet(self, flip_hmm, obs, step):
+        with pytest.raises(ValidationError, match=f"^observation {obs[step - 1]} at step {step} outside"):
+            alpha_filter(flip_hmm, obs)
 
     @pytest.mark.parametrize("obs", [[1.7, 0], ["1", 0], [-1, 0], [math.nan]])
     def test_non_integer_or_negative_symbol_is_refused(self, flip_hmm, obs):
@@ -219,8 +221,9 @@ class TestSmoothing:
         for n_states, n_steps in [(2, 2), (3, 9), (4, 30)]:
             hmm = random_hmm(rng, n_states, n_steps, 3)
             obs = [int(v) for v in rng.integers(0, 3, size=n_steps)]
-            filtered, _, _ = sequential._filter(hmm, obs)
-            betas = sequential._backward(hmm, obs)
+            evidence = sequential._evidence(hmm, sequential._check_observations(hmm, obs))
+            filtered, _, _ = sequential._filter(hmm, evidence)
+            betas = sequential._backward(hmm, evidence)
             for t in range(2, n_steps + 1):
                 joint = (filtered[t - 2][:, None] * hmm.transitions[t - 2]
                          * (hmm.emissions[t - 1][:, obs[t - 1]] * betas[t - 1])[None, :])
@@ -532,9 +535,10 @@ class TestKalman:
 
 
 # -- the recursions against their per-step forms ---------------------------------
-# The step loops as they were before the logs were taken once per matrix and the
-# smoothing product became one array operation; the recursions must match them bit
-# for bit.
+# The step loops as they were before the logs were taken once per matrix, the
+# smoothing product became one array operation, and the evidence became one gather from
+# a table of the emission matrices with products through ``dot``; the recursions must
+# match them bit for bit.
 
 def reference_viterbi(hmm, obs):
     with np.errstate(divide="ignore"):
@@ -552,17 +556,58 @@ def reference_viterbi(hmm, obs):
     return path[::-1], float(scores.max())
 
 
-def reference_smooth(hmm, obs):
-    filtered, _ = alpha_filter(hmm, obs)
+def reference_filter(hmm, obs):
+    filtered = np.empty((len(obs), hmm.n_states))
+    weighted = np.empty_like(filtered)
+    log_lik = 0.0
+    current = hmm.prior
+    for t, (v, row, filtered_row) in enumerate(zip(obs, weighted, filtered)):
+        if t > 0:
+            current = hmm.transitions[t - 1].T @ current
+        np.multiply(hmm.emissions[t][:, v], current, out=row)
+        norm = float(np.add.reduce(row))
+        if norm <= 0.0:
+            raise ImpossibleEvidenceError(f"evidence up to step {t + 1} has probability zero")
+        current = np.divide(row, norm, out=filtered_row)
+        log_lik += math.log(norm)
+    return filtered, weighted, log_lik
+
+
+def reference_backward(hmm, obs, first=1):
+    """beta_first .. beta_n in step order."""
     betas = [np.ones(hmm.n_states)]
-    for t in range(len(obs) - 1, 0, -1):
+    for t in range(len(obs) - 1, first - 1, -1):
         beta = hmm.transitions[t - 1] @ (hmm.emissions[t][:, obs[t]] * betas[-1])
         peak = beta.max()
         if peak <= 0.0:
             raise ImpossibleEvidenceError("evidence has probability zero")
         betas.append(beta / peak)
+    return betas[::-1]
+
+
+def reference_prediction(hmm, obs, t):
+    filtered, _, log_lik = reference_filter(hmm, obs)
+    current = filtered[-1]
+    for s in range(len(obs) + 1, t + 1):
+        current = hmm.transitions[s - 2].T @ current
+    return current, log_lik
+
+
+def reference_pairwise(hmm, obs, t):
+    filtered, _, _ = reference_filter(hmm, obs[:t - 1])
+    beta = reference_backward(hmm, obs, t)[0]
+    joint = filtered[-1][:, None] * hmm.transitions[t - 2] * (hmm.emissions[t - 1][:, obs[t - 1]] * beta)[None, :]
+    total = joint.sum()
+    if total <= 0.0:
+        raise ImpossibleEvidenceError("evidence has probability zero")
+    return joint / total
+
+
+def reference_smooth(hmm, obs):
+    filtered, _ = alpha_filter(hmm, obs)
+    betas = reference_backward(hmm, obs)
     out = []
-    for alpha, beta in zip(filtered, betas[::-1]):
+    for alpha, beta in zip(filtered, betas):
         joint = alpha * beta
         total = joint.sum()
         if total <= 0.0:
@@ -572,23 +617,25 @@ def reference_smooth(hmm, obs):
 
 
 @st.composite
-def sparse_hmms(draw):
-    """Up to 40 states and 12 steps, per-step (or shared) matrices with zero entries."""
+def sparse_hmms(draw, full=True):
+    """Up to 40 states and 12 steps, per-step (or shared) matrices with zero entries, in C
+    or Fortran order; unless ``full``, the observations may stop before the last step."""
     k, m, n = draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zeros = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    order = draw(st.sampled_from("CF"))
 
     def stochastic(rows, cols):
         w = rng.uniform(0.05, 1.0, (rows, cols)) * (rng.uniform(size=(rows, cols)) >= zeros)
         w[np.arange(rows), rng.integers(0, cols, rows)] += 0.01  # no empty row
-        return w / w.sum(axis=1, keepdims=True)
+        return np.asarray(w / w.sum(axis=1, keepdims=True), order=order)
 
     prior = stochastic(1, k)[0]
     if draw(st.booleans()):
         hmm = DiscreteHmm.homogeneous(prior, stochastic(k, k), stochastic(k, m), n)
     else:
         hmm = DiscreteHmm(prior, [stochastic(k, k) for _ in range(n - 1)], [stochastic(k, m) for _ in range(n)])
-    return hmm, [int(v) for v in rng.integers(0, m, n)]
+    return hmm, [int(v) for v in rng.integers(0, m, n if full else draw(st.integers(1, n)))]
 
 
 def _outcome(call):
@@ -610,6 +657,55 @@ def test_viterbi_and_smooth_match_the_step_loops(case):
         assert len(result) == len(expected)
         for row, want in zip(result, expected):
             assert row.shape == want.shape and np.array_equal(row, want)
+
+
+def _same(result, expected):
+    """Both raised the same error, or both gave the same arrays and floats bit for bit."""
+    if isinstance(expected, str) or isinstance(result, str):
+        return result == expected
+    return len(result) == len(expected) and all(
+        np.asarray(a).shape == np.asarray(b).shape and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for a, b in zip(result, expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_hmms(full=False), st.data())
+def test_forward_passes_match_the_step_loop(case, data):
+    hmm, obs = case
+    filtered = _outcome(lambda: alpha_filter(hmm, obs))
+    assert _same(filtered, _outcome(lambda: reference_filter(hmm, obs)[::2]))
+    t = data.draw(st.integers(len(obs), hmm.n_steps))
+    assert _same(_outcome(lambda: hidden_prediction(hmm, obs, t)), _outcome(lambda: reference_prediction(hmm, obs, t)))
+    if hmm.n_steps > 1:
+        alphabet = hmm.emissions[-1].shape[1]
+        full = obs + data.draw(st.lists(st.integers(0, alphabet - 1), min_size=hmm.n_steps - len(obs),
+                                        max_size=hmm.n_steps - len(obs)))
+        t = data.draw(st.integers(2, hmm.n_steps))
+        assert _same(_outcome(lambda: [smooth_pairwise(hmm, full, t)]),
+                     _outcome(lambda: [reference_pairwise(hmm, full, t)]))
+
+
+def test_strided_inputs_give_the_results_of_their_contiguous_copies():
+    rng = np.random.default_rng(12)
+    k, m, n = 5, 3, 30
+
+    def strided(rows, cols):
+        """A row-stochastic matrix read through every other row and column of a larger array."""
+        base = np.zeros((2 * rows, 2 * cols))
+        w = rng.uniform(0.05, 1.0, (rows, cols))
+        base[::2, ::2] = w / w.sum(axis=1, keepdims=True)
+        return base[::2, ::2]
+
+    prior, trans, emis = strided(1, k)[0], [strided(k, k) for _ in range(n - 1)], [strided(k, m) for _ in range(n)]
+    assert not (prior.flags.c_contiguous or trans[0].flags.c_contiguous or emis[0].flags.c_contiguous)
+    views = DiscreteHmm(prior, trans, emis)
+    copies = DiscreteHmm(prior.copy(), [x.copy() for x in trans], [x.copy() for x in emis])
+    obs = [int(v) for v in rng.integers(0, m, n)]
+    for run in (lambda hmm: alpha_filter(hmm, obs), lambda hmm: [smooth(hmm, obs)],
+                lambda hmm: hidden_prediction(hmm, obs[:10], 20), lambda hmm: [predict_visible(hmm, obs[:10], 20)],
+                lambda hmm: [smooth_pairwise(hmm, obs, 7)], lambda hmm: [ffbs_backward_kernel(hmm, obs, 7)],
+                lambda hmm: [ffbs_paths(hmm, obs, SeededRng(3), 4)], lambda hmm: viterbi(hmm, obs)):
+        assert _same(run(views), run(copies))
 
 
 # FFBS as it was before the kernels became one array: one kernel per step, from its
@@ -678,3 +774,13 @@ def test_observations_are_checked_once(monkeypatch):
         calls.clear()
         run()
         assert calls == [1]
+
+
+def test_homogeneous_matrices_are_checked_once_whatever_the_length(monkeypatch):
+    calls = []
+    check = sequential._check_row_stochastic
+    monkeypatch.setattr(sequential, "_check_row_stochastic", lambda *a: calls.append(1) or check(*a))
+    for n_steps in (10, 10_000):
+        calls.clear()
+        DiscreteHmm.homogeneous([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.7, 0.3], [0.1, 0.9]], n_steps)
+        assert calls == [1, 1]

@@ -297,6 +297,46 @@ def test_sampler_size_limit_is_inclusive(monkeypatch):
         samplers.gibbs_rbm(SeededRng(0), RBM, 7)
 
 
+def test_homogeneous_hmm_steps_over_the_limit_are_refused_before_building(monkeypatch):
+    with pytest.raises(ValidationError, match=r"^the table of a full sequence, steps x states = 1000000000000 x 2, "
+                                              r"would have 2000000000000 entries, over the limit of 16777216$"):
+        sequential.DiscreteHmm.homogeneous(HMM.prior, HMM.transitions[0], HMM.emissions[0], 10**12)
+    monkeypatch.setattr(numerics, "MAX_TABLE_ENTRIES", 6)
+    assert sequential.DiscreteHmm.homogeneous(HMM.prior, HMM.transitions[0], HMM.emissions[0], 3).n_steps == 3
+    with pytest.raises(ValidationError, match="= 4 x 2, would have 8 entries, over the limit of 6$"):
+        sequential.DiscreteHmm.homogeneous(HMM.prior, HMM.transitions[0], HMM.emissions[0], 4)
+
+
+# name -> (the model from its input arrays, those arrays, a result of the model as bytes and
+# floats, the arrays the model stores).
+OWN_COPIES = {
+    "DiscreteHmm": (lambda prior, trans, emis: sequential.DiscreteHmm(prior, [trans], [emis, emis]),
+                    ([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[0.7, 0.3], [0.1, 0.9]]),
+                    lambda hmm: (lambda filtered, log_lik: (filtered.tobytes(), log_lik))(
+                        *sequential.alpha_filter(hmm, [0, 1])),
+                    lambda hmm: [hmm.prior, *hmm.transitions, *hmm.emissions]),
+    "RbmModel": (samplers.RbmModel, ([[0.5, -1.0], [2.0, 0.3]], [0.1, -0.2], [0.3, 0.0]),
+                 lambda rbm: samplers.rbm_visible_unnorm_logpmf(rbm, [1, 0]),
+                 lambda rbm: [rbm.W, rbm.a, rbm.b]),
+    "GaussianTarget": (variational.GaussianTarget, (SPD, [1.0, 0.0]),
+                       lambda target: (lambda state: (state.means.tobytes(), state.variances.tobytes()))(
+                           variational.mean_field_solve(target, MF_INIT)),
+                       lambda target: [target.precision, target.linear]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OWN_COPIES))
+def test_a_model_keeps_its_own_read_only_arrays(name):
+    build, inputs, result, stored = OWN_COPIES[name]
+    arrays = [np.array(x, dtype=float) for x in inputs]
+    model = build(*arrays)
+    before = result(model)
+    for a in arrays:
+        a *= -1.0
+    assert result(model) == before
+    assert not any(a.flags.writeable for a in stored(model))
+
+
 class TestFactorOverflow:
     def _overflowing(self):
         return (DiscreteFactor([("a", 2)], [1e300, 1e300]),
